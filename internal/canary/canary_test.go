@@ -3,6 +3,7 @@ package canary
 import (
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -213,6 +214,38 @@ func TestDeterministicIDs(t *testing.T) {
 	r := RandomIDs()
 	if r() == r() {
 		t.Error("RandomIDs collided immediately")
+	}
+}
+
+// TestSequentialIDsConcurrent draws IDs from many goroutines at once,
+// as parallel honeypot experiments sharing one minter do: every ID must
+// be unique (and, under -race, the draws must not race).
+func TestSequentialIDsConcurrent(t *testing.T) {
+	const goroutines, perG = 16, 200
+	next := SequentialIDs("c")
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perG {
+				ids[g] = append(ids[g], next())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, goroutines*perG)
+	for _, batch := range ids {
+		for _, id := range batch {
+			if seen[id] {
+				t.Fatalf("ID %s drawn twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != goroutines*perG {
+		t.Fatalf("drew %d unique IDs, want %d", len(seen), goroutines*perG)
 	}
 }
 

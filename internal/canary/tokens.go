@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind is a canary token type. The paper's implementation "uses four
@@ -73,12 +74,12 @@ func RandomIDs() IDSource {
 }
 
 // SequentialIDs returns a deterministic ID source for tests, prefixed
-// to stay unique across minters.
+// to stay unique across minters. Like RandomIDs it is safe for
+// concurrent use: experiments running in parallel share one minter.
 func SequentialIDs(prefix string) IDSource {
-	n := 0
+	var n atomic.Int64
 	return func() string {
-		n++
-		return fmt.Sprintf("%s%06d", prefix, n)
+		return fmt.Sprintf("%s%06d", prefix, n.Add(1))
 	}
 }
 

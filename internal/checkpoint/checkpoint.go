@@ -7,13 +7,16 @@
 //
 // Snapshots are written atomically — encode to a temp file in the
 // store directory, fsync, rename into place — so a crash mid-write
-// leaves the previous snapshot intact. The on-disk format is a
-// self-describing header (schema version, payload length, CRC-32C)
-// followed by one JSON payload; Decode verifies all three and fails on
-// any mismatch. Unlike the journal's lenient decoder, snapshot decoding
-// is strict: a corrupt or truncated snapshot is an error, never a
-// silently half-loaded state, because resuming from partial state would
-// silently re-run or drop work.
+// leaves the previous snapshot intact. A running pipeline saves through
+// a Builder, which encodes each settled item once, when it is noted,
+// and writes the cached fragments at every save; Encode is the
+// reference encoder, and both write the same bytes. The on-disk format
+// is a self-describing header (schema version, payload length,
+// CRC-32C) followed by one JSON payload; Decode verifies all three and
+// fails on any mismatch. Unlike the journal's lenient decoder, snapshot
+// decoding is strict: a corrupt or truncated snapshot is an error,
+// never a silently half-loaded state, because resuming from partial
+// state would silently re-run or drop work.
 package checkpoint
 
 import (
@@ -117,22 +120,46 @@ func (s *Snapshot) Settled() int {
 //	ckptv1 <schema> <payload-len> <crc32c-hex>\n
 //	<payload JSON>
 func Encode(w io.Writer, s *Snapshot) error {
+	payload, err := marshal(s)
+	if err != nil {
+		return err
+	}
+	return writeFramed(w, s.Schema, [][]byte{payload})
+}
+
+// marshal stamps the schema and encodes the whole snapshot at once.
+func marshal(s *Snapshot) ([]byte, error) {
 	if s.Schema == 0 {
 		s.Schema = SchemaVersion
 	}
 	payload, err := json.Marshal(s)
 	if err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	sum := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	if _, err := fmt.Fprintf(w, "%s %d %d %08x\n", magic, s.Schema, len(payload), sum); err != nil {
+	return payload, nil
+}
+
+// writeFramed writes the header line and then the payload, given as
+// the pieces it concatenates, to w.
+func writeFramed(w io.Writer, schema int, payload [][]byte) error {
+	var n int
+	var sum uint32
+	for _, p := range payload {
+		n += len(p)
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	if _, err := fmt.Fprintf(w, "%s %d %d %08x\n", magic, schema, n, sum); err != nil {
 		return fmt.Errorf("checkpoint: encode header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("checkpoint: encode payload: %w", err)
+	for _, p := range payload {
+		if _, err := w.Write(p); err != nil {
+			return fmt.Errorf("checkpoint: encode payload: %w", err)
+		}
 	}
 	return nil
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxPayload bounds a snapshot payload during decoding so a corrupt
 // header cannot demand an absurd allocation.
@@ -185,9 +212,9 @@ func Decode(r io.Reader) (*Snapshot, error) {
 type Store struct {
 	dir string
 
-	// AfterSave, when set, runs after every successful Save — the
-	// chaos harness's hook for injecting SIGKILL-style aborts exactly
-	// at checkpoint boundaries (see faults.AbortInjector).
+	// AfterSave, when set, runs after every successful Save or
+	// SaveBuilder — the chaos harness's hook for injecting SIGKILL-style
+	// aborts exactly at checkpoint boundaries (see faults.AbortInjector).
 	AfterSave func(*Snapshot)
 }
 
@@ -230,13 +257,38 @@ func (st *Store) Save(s *Snapshot) error {
 	if s.RunID == "" {
 		return errors.New("checkpoint: snapshot without run ID")
 	}
+	payload, err := marshal(s)
+	if err != nil {
+		return err
+	}
+	return st.commit(s, [][]byte{payload})
+}
+
+// SaveBuilder saves the builder's snapshot exactly as Save would —
+// same bytes, same atomicity, same AfterSave call — encoding only the
+// work added since the builder was created or last saved.
+func (st *Store) SaveBuilder(b *Builder) error {
+	if b.snap.RunID == "" {
+		return errors.New("checkpoint: snapshot without run ID")
+	}
+	pieces, err := b.encode()
+	if err != nil {
+		return err
+	}
+	return st.commit(b.snap, pieces)
+}
+
+// commit is the one write path behind Save and SaveBuilder: header
+// and payload pieces go straight into a temp file, which is fsynced
+// and renamed over the run's snapshot before AfterSave runs.
+func (st *Store) commit(s *Snapshot, payload [][]byte) error {
 	tmp, err := os.CreateTemp(st.dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
-	if err := Encode(tmp, s); err != nil {
+	if err := writeFramed(tmp, s.Schema, payload); err != nil {
 		tmp.Close()
 		return err
 	}

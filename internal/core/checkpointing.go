@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -91,11 +92,13 @@ func scraperResume(snap *checkpoint.Snapshot) *scraper.ResumeState {
 	return rs
 }
 
-// codeResume unpacks the code-analysis links.
+// codeResume unpacks the code-analysis links. The maps are copies: the
+// analyzer reads them from many workers while the checkpointer keeps
+// adding fresh links to the snapshot's own.
 func codeResume(snap *checkpoint.Snapshot) *codeanalysis.AnalyzeResume {
 	return &codeanalysis.AnalyzeResume{
-		Settled: snap.CodeLinks,
-		Failed:  snap.CodeLinkErrs,
+		Settled: maps.Clone(snap.CodeLinks),
+		Failed:  maps.Clone(snap.CodeLinkErrs),
 	}
 }
 
@@ -115,13 +118,18 @@ func honeypotResume(snap *checkpoint.Snapshot) *honeypot.CampaignResume {
 }
 
 // ckptState accumulates settled work during a run and writes snapshots
-// through the store. A nil *ckptState (checkpointing disabled) is a
-// valid no-op, mirroring the repo's nil-Journal idiom.
+// through the store. Settled work goes through a checkpoint.Builder, so
+// each item is encoded once, when it is noted, not at every write. A
+// nil *ckptState (checkpointing disabled) is a valid no-op, mirroring
+// the repo's nil-Journal idiom.
 type ckptState struct {
 	store *checkpoint.Store
 	every int
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	b  *checkpoint.Builder
+	// snap is b's live snapshot: settled work is added through b only;
+	// Completed and BudgetLeft are set on snap directly.
 	snap  *checkpoint.Snapshot
 	fresh int // settled bots since the last periodic write
 	// budgets are snapshotted into BudgetLeft at every write so a
@@ -140,19 +148,15 @@ func newCkptState(cfg CheckpointOptions, base *checkpoint.Snapshot, reg *obs.Reg
 	if every <= 0 {
 		every = 25
 	}
-	if base.CodeLinks == nil {
-		base.CodeLinks = make(map[string]*codeanalysis.RepoAnalysis)
-	}
-	if base.CodeLinkErrs == nil {
-		base.CodeLinkErrs = make(map[string]string)
-	}
 	if base.BudgetLeft == nil {
 		base.BudgetLeft = make(map[string]int)
 	}
+	b := checkpoint.NewBuilder(base)
 	return &ckptState{
 		store:   cfg.Store,
 		every:   every,
-		snap:    base,
+		b:       b,
+		snap:    b.Snapshot(),
 		budgets: make(map[string]*retry.Budget),
 		ctx:     context.Background(),
 		cWrites: reg.Counter("core_checkpoints_written_total"),
@@ -178,7 +182,7 @@ func (c *ckptState) noteListed(ids []int) {
 	}
 	c.mu.Lock()
 	if len(c.snap.BotIDs) == 0 {
-		c.snap.BotIDs = append([]int(nil), ids...)
+		c.b.SetBotIDs(ids)
 	}
 	c.mu.Unlock()
 }
@@ -190,10 +194,9 @@ func (c *ckptState) noteCollect(id int, rec *scraper.Record, qerr error) {
 	}
 	c.mu.Lock()
 	if qerr != nil {
-		c.snap.CollectQuarantine = append(c.snap.CollectQuarantine,
-			checkpoint.QEntry{BotID: id, Err: qerr.Error()})
+		c.b.AddCollectQuarantine(checkpoint.QEntry{BotID: id, Err: qerr.Error()})
 	} else {
-		c.snap.Records = append(c.snap.Records, rec)
+		c.b.AddRecord(rec)
 	}
 	c.writeIfDueLocked("collect")
 	c.mu.Unlock()
@@ -206,9 +209,9 @@ func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText
 	}
 	c.mu.Lock()
 	if errText != "" {
-		c.snap.CodeLinkErrs[link] = errText
+		c.b.SetCodeLinkErr(link, errText)
 	} else {
-		c.snap.CodeLinks[link] = ra
+		c.b.SetCodeLink(link, ra)
 	}
 	c.writeIfDueLocked("codeanalysis")
 	c.mu.Unlock()
@@ -221,10 +224,9 @@ func (c *ckptState) noteVerdict(botID int, v *honeypot.Verdict, qerr error) {
 	}
 	c.mu.Lock()
 	if qerr != nil {
-		c.snap.HoneypotQuarantine = append(c.snap.HoneypotQuarantine,
-			checkpoint.QEntry{BotID: botID, Err: qerr.Error()})
+		c.b.AddHoneypotQuarantine(checkpoint.QEntry{BotID: botID, Err: qerr.Error()})
 	} else {
-		c.snap.Verdicts = append(c.snap.Verdicts, v)
+		c.b.AddVerdict(v)
 	}
 	c.writeIfDueLocked("honeypot")
 	c.mu.Unlock()
@@ -255,15 +257,13 @@ func (c *ckptState) noteBatch(batch []pendingOutcome) {
 	for _, p := range batch {
 		switch {
 		case p.Qerr != nil && p.Stage == "collect":
-			c.snap.CollectQuarantine = append(c.snap.CollectQuarantine,
-				checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
+			c.b.AddCollectQuarantine(checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
 		case p.Qerr != nil:
-			c.snap.HoneypotQuarantine = append(c.snap.HoneypotQuarantine,
-				checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
+			c.b.AddHoneypotQuarantine(checkpoint.QEntry{BotID: p.BotID, Err: p.Qerr.Error()})
 		case p.Rec != nil:
-			c.snap.Records = append(c.snap.Records, p.Rec)
+			c.b.AddRecord(p.Rec)
 		case p.V != nil:
-			c.snap.Verdicts = append(c.snap.Verdicts, p.V)
+			c.b.AddVerdict(p.V)
 		}
 	}
 	c.fresh += len(batch)
@@ -305,15 +305,17 @@ func (c *ckptState) writeIfDueLocked(stage string) {
 }
 
 // writeLocked captures budget remainders and saves the snapshot. The
-// save (file write + rename) runs under the lock: snapshots are small
-// and holding it keeps the encoder from racing concurrent appends to
-// the accumulating maps. Caller holds c.mu.
+// save (file write + rename) runs under the lock so that renames land
+// in the order the snapshots were assembled: two saves racing outside
+// it could rename an older snapshot over a newer one, and a crash
+// would then resume from work the run had already moved past. Caller
+// holds c.mu.
 func (c *ckptState) writeLocked(stage string) {
 	c.fresh = 0
 	for name, b := range c.budgets {
 		c.snap.BudgetLeft[name] = b.Remaining()
 	}
-	if err := c.store.Save(c.snap); err != nil {
+	if err := c.store.SaveBuilder(c.b); err != nil {
 		// A failed checkpoint must not fail the science: count it,
 		// journal it, and keep the pipeline running on the previous
 		// snapshot's durability.
