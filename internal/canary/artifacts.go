@@ -152,22 +152,16 @@ func URIsFromPDF(data []byte) []string {
 	return out
 }
 
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// The escapers are shared: a strings.Replacer is safe for concurrent
+// use and is costly to build.
+var (
+	xmlEscaper   = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	xmlUnescaper = strings.NewReplacer("&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`)
+	pdfEscaper   = strings.NewReplacer(`\`, `\\`, "(", `\(`, ")", `\)`)
+	pdfUnescaper = strings.NewReplacer(`\(`, "(", `\)`, ")", `\\`, `\`)
+)
 
-func xmlUnescape(s string) string {
-	r := strings.NewReplacer("&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`)
-	return r.Replace(s)
-}
-
-func pdfEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "(", `\(`, ")", `\)`)
-	return r.Replace(s)
-}
-
-func pdfUnescape(s string) string {
-	r := strings.NewReplacer(`\(`, "(", `\)`, ")", `\\`, `\`)
-	return r.Replace(s)
-}
+func xmlEscape(s string) string   { return xmlEscaper.Replace(s) }
+func xmlUnescape(s string) string { return xmlUnescaper.Replace(s) }
+func pdfEscape(s string) string   { return pdfEscaper.Replace(s) }
+func pdfUnescape(s string) string { return pdfUnescaper.Replace(s) }

@@ -485,3 +485,81 @@ func TestTenantIdentifyRateShedPerReasonCounters(t *testing.T) {
 		t.Errorf("journaled shed reasons = %v, want exactly one tenant_rate", reasons)
 	}
 }
+
+// TestSetObsWhileStreaming swaps the metrics registry while a session
+// is receiving events and making requests: the swap must not race the
+// session's counter updates (run under -race), and once it settles the
+// counters land in the registry set last.
+func TestSetObsWhileStreaming(t *testing.T) {
+	r := newRig(t, permissions.ViewChannel|permissions.SendMessages|permissions.ReadMessageHistory)
+	chID := r.general.ID.String()
+	got := make(chan struct{}, 1)
+	r.sess.OnMessage(func(*botsdk.Session, *botsdk.Message) {
+		select {
+		case got <- struct{}{}:
+		default:
+		}
+	})
+
+	stop := make(chan struct{})
+	done := make(chan struct{}, 2)
+	go func() { // events towards the session
+		defer func() { done <- struct{}{} }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.p.SendMessage(r.owner.ID, r.general.ID, "tick"); err != nil {
+				t.Errorf("owner send: %v", err)
+				return
+			}
+		}
+	}()
+	go func() { // requests from the session
+		defer func() { done <- struct{}{} }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.sess.History(chID, 5); err != nil {
+				t.Errorf("history: %v", err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Error("no event delivered before the registry swaps")
+	}
+	for i := 0; i < 50; i++ {
+		r.srv.SetObs(obs.NewRegistry())
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-done
+	<-done
+
+	reg := obs.NewRegistry()
+	r.srv.SetObs(reg)
+	if _, err := r.p.SendMessage(r.owner.ID, r.general.ID, "after"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.sess.History(chID, 1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Counter("gateway_events_out_total").Value() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v := reg.Counter("gateway_events_out_total").Value(); v == 0 {
+		t.Error("no event counted in the registry set last")
+	}
+	if v := reg.Counter("gateway_requests_total").Value(); v == 0 {
+		t.Error("no request counted in the registry set last")
+	}
+}

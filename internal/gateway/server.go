@@ -42,6 +42,17 @@ type Server struct {
 	rateBurst float64
 
 	// observability
+	metrics atomic.Pointer[serverMetrics]
+	journal *journal.Journal
+
+	// Logf receives connection-level diagnostics; defaults to a no-op.
+	Logf func(format string, args ...any)
+}
+
+// serverMetrics is the server's counter set. SetObs replaces it whole
+// while sessions may be running, so the server publishes it through an
+// atomic pointer and every use loads the current set.
+type serverMetrics struct {
 	cConnections *obs.Counter
 	cReconnects  *obs.Counter
 	cEventsOut   *obs.Counter
@@ -55,34 +66,32 @@ type Server struct {
 	cThrottled   *obs.Counter
 	cTenantThrot *obs.Counter
 	gSessions    *obs.Gauge
-	journal      *journal.Journal
-
-	// Logf receives connection-level diagnostics; defaults to a no-op.
-	Logf func(format string, args ...any)
 }
 
 // SetObs points the server's metrics at a registry; by default they go
-// to the process-wide one. Call it before bots connect.
+// to the process-wide one. Call it before bots connect: a session
+// already running keeps its sessions-gauge entry in the old registry.
 func (s *Server) SetObs(r *obs.Registry) {
 	reg := obs.Or(r)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cConnections = reg.Counter("gateway_connections_total")
-	s.cReconnects = reg.Counter("gateway_reconnects_total")
-	s.cEventsOut = reg.Counter("gateway_events_out_total")
-	s.cRequests = reg.Counter("gateway_requests_total")
-	s.cShed = reg.Counter("gateway_sessions_shed_total")
-	s.cShedBy = make(map[string]*obs.Counter, len(ShedReasons))
-	for _, reason := range ShedReasons {
-		s.cShedBy[reason] = reg.Counter("gateway_sessions_shed_" + reason + "_total")
+	m := &serverMetrics{
+		cConnections: reg.Counter("gateway_connections_total"),
+		cReconnects:  reg.Counter("gateway_reconnects_total"),
+		cEventsOut:   reg.Counter("gateway_events_out_total"),
+		cRequests:    reg.Counter("gateway_requests_total"),
+		cShed:        reg.Counter("gateway_sessions_shed_total"),
+		cShedBy:      make(map[string]*obs.Counter, len(ShedReasons)),
+		cDropped:     reg.Counter("gateway_events_dropped_total"),
+		cSubDropped:  reg.Counter("gateway_sub_events_dropped_total"),
+		cReaped:      reg.Counter("gateway_sessions_reaped_total"),
+		cSlowClosed:  reg.Counter("gateway_slow_consumer_disconnects_total"),
+		cThrottled:   reg.Counter("gateway_requests_throttled_total"),
+		cTenantThrot: reg.Counter("gateway_tenant_throttled_total"),
+		gSessions:    reg.Gauge("gateway_sessions"),
 	}
-	s.cDropped = reg.Counter("gateway_events_dropped_total")
-	s.cSubDropped = reg.Counter("gateway_sub_events_dropped_total")
-	s.cReaped = reg.Counter("gateway_sessions_reaped_total")
-	s.cSlowClosed = reg.Counter("gateway_slow_consumer_disconnects_total")
-	s.cThrottled = reg.Counter("gateway_requests_throttled_total")
-	s.cTenantThrot = reg.Counter("gateway_tenant_throttled_total")
-	s.gSessions = reg.Gauge("gateway_sessions")
+	for _, reason := range ShedReasons {
+		m.cShedBy[reason] = reg.Counter("gateway_sessions_shed_" + reason + "_total")
+	}
+	s.metrics.Store(m)
 }
 
 // SetJournal attaches an event journal: session lifecycle
@@ -278,8 +287,9 @@ func (s *Server) releaseAdmit() {
 // shed refuses a connection with an explicit shedding frame so clients
 // can distinguish overload (back off and retry) from rejection.
 func (s *Server) shed(conn net.Conn, enc *json.Encoder, reason string, retryAfter, writeTimeout time.Duration) {
-	s.cShed.Inc()
-	if c, ok := s.cShedBy[reason]; ok {
+	m := s.metrics.Load()
+	m.cShed.Inc()
+	if c, ok := m.cShedBy[reason]; ok {
 		c.Inc()
 	}
 	s.getJournal().Emit(journal.Event{
@@ -405,7 +415,7 @@ func (sess *session) writeLoop() {
 				if !sess.write(f) {
 					return
 				}
-				sess.srv.cEventsOut.Inc()
+				sess.srv.metrics.Load().cEventsOut.Inc()
 			case <-sess.done:
 				return
 			}
@@ -441,7 +451,7 @@ func (sess *session) send(f Frame) error {
 	case <-sess.done:
 		return errSessionClosed
 	case <-t.C:
-		sess.srv.cSlowClosed.Inc()
+		sess.srv.metrics.Load().cSlowClosed.Inc()
 		sess.closeWith("slow_consumer")
 		return errSessionClosed
 	}
@@ -476,7 +486,7 @@ func (sess *session) sendEvent(f Frame) error {
 			}
 		}
 	case SlowDisconnect:
-		sess.srv.cSlowClosed.Inc()
+		sess.srv.metrics.Load().cSlowClosed.Inc()
 		sess.closeWith("slow_consumer")
 		return errSessionClosed
 	default: // SlowBlock
@@ -488,7 +498,7 @@ func (sess *session) sendEvent(f Frame) error {
 		case <-sess.done:
 			return errSessionClosed
 		case <-t.C:
-			sess.srv.cSlowClosed.Inc()
+			sess.srv.metrics.Load().cSlowClosed.Inc()
 			sess.closeWith("slow_consumer")
 			return errSessionClosed
 		}
@@ -497,7 +507,7 @@ func (sess *session) sendEvent(f Frame) error {
 
 func (sess *session) noteDropped(n int64) {
 	sess.dropped.Add(n)
-	sess.srv.cDropped.Add(n)
+	sess.srv.metrics.Load().cDropped.Add(n)
 }
 
 // reapLoop enforces server-side heartbeat liveness: a session that goes
@@ -517,7 +527,7 @@ func (sess *session) reapLoop(timeout time.Duration) {
 		case <-t.C:
 			last := time.Unix(0, sess.lastRecv.Load())
 			if time.Since(last) > timeout {
-				sess.srv.cReaped.Inc()
+				sess.srv.metrics.Load().cReaped.Inc()
 				sess.closeWith("heartbeat_timeout")
 				return
 			}
@@ -604,7 +614,7 @@ func (s *Server) serve(conn net.Conn) {
 	// Upstream backpressure accounting: the platform bus drops events
 	// for subscribers whose buffer is full (a pump stalled by SlowBlock);
 	// surface those losses on the same counter family.
-	sess.sub.SetDropHook(func(int) { s.cSubDropped.Inc() })
+	sess.sub.SetDropHook(func(int) { s.metrics.Load().cSubDropped.Inc() })
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -612,12 +622,16 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	s.sessions[sess] = struct{}{}
-	s.cConnections.Inc()
+	// The set is loaded once here so the session's +1 and -1 on the
+	// sessions gauge land in the same registry even if SetObs swaps it
+	// in between.
+	m := s.metrics.Load()
+	m.cConnections.Inc()
 	if s.seenBots[bot.ID] {
-		s.cReconnects.Inc()
+		m.cReconnects.Inc()
 	}
 	s.seenBots[bot.ID] = true
-	s.gSessions.Add(1)
+	m.gSessions.Add(1)
 	nSessions := len(s.sessions)
 	s.mu.Unlock()
 	s.getJournal().Emit(journal.Event{
@@ -634,7 +648,7 @@ func (s *Server) serve(conn net.Conn) {
 		sess.closeWith("peer_closed")
 		s.mu.Lock()
 		delete(s.sessions, sess)
-		s.gSessions.Add(-1)
+		m.gSessions.Add(-1)
 		s.mu.Unlock()
 		s.p.Unsubscribe(sess.sub)
 		if d := sess.dropped.Load(); d > 0 {
@@ -717,17 +731,17 @@ func (s *Server) serve(conn net.Conn) {
 				return
 			}
 		case OpRequest:
-			s.cRequests.Inc()
+			s.metrics.Load().cRequests.Inc()
 			wait, limited := s.throttled(sess)
 			if !limited {
 				var tWait time.Duration
 				if tWait, limited = tenant.take(limits.TenantRPS, float64(limits.TenantBurst)); limited {
-					s.cTenantThrot.Inc()
+					s.metrics.Load().cTenantThrot.Inc()
 					wait = tWait
 				}
 			}
 			if limited {
-				s.cThrottled.Inc()
+				s.metrics.Load().cThrottled.Inc()
 				resp := Frame{Op: OpResponse, ID: f.ID, Err: ErrRateLimited,
 					RetryAfterMS: int64(wait / time.Millisecond)}
 				if resp.RetryAfterMS < 1 {

@@ -15,7 +15,9 @@ import (
 )
 
 // BotRunner drives one connected bot session for the duration of an
-// experiment. Start must not block; Stop tears the behaviour down.
+// experiment. Start must not block. Stop tears the behaviour down: it
+// takes on no new work and returns once the work already under way,
+// including any message that work posts, has finished.
 type BotRunner interface {
 	Start(sess *botsdk.Session, env BotEnv)
 	Stop()
@@ -99,13 +101,12 @@ func (b *SnoopBot) Start(sess *botsdk.Session, env BotEnv) {
 		b.Giveaway = DefaultGiveaway
 	}
 	sess.OnMessage(func(s *botsdk.Session, m *botsdk.Message) {
-		if b.isStopped() || m.AuthorBot {
+		if m.AuthorBot || !b.track() {
 			return
 		}
 		// Handlers run on the session's read loop; inspection performs
 		// blocking round-trips (attachment fetches), so it must not
 		// block event delivery.
-		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
 			b.inspect(s, env, m)
@@ -113,7 +114,8 @@ func (b *SnoopBot) Start(sess *botsdk.Session, env BotEnv) {
 	})
 }
 
-// Stop implements BotRunner. It waits for in-flight inspections.
+// Stop implements BotRunner. It waits for in-flight inspections,
+// which still post their giveaway.
 func (b *SnoopBot) Stop() {
 	b.mu.Lock()
 	b.stopped = true
@@ -121,10 +123,16 @@ func (b *SnoopBot) Stop() {
 	b.wg.Wait()
 }
 
-func (b *SnoopBot) isStopped() bool {
+// track registers a new inspection unless the bot has stopped. Checking
+// and adding under one lock keeps every Add ahead of Stop's Wait.
+func (b *SnoopBot) track() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.stopped
+	if b.stopped {
+		return false
+	}
+	b.wg.Add(1)
+	return true
 }
 
 func (b *SnoopBot) claimPersistence() bool {
@@ -193,7 +201,7 @@ func (b *SnoopBot) inspect(s *botsdk.Session, env BotEnv, m *botsdk.Message) {
 			}
 		}
 	}
-	if openedDoc && !b.isStopped() && b.claimGiveaway() {
+	if openedDoc && b.claimGiveaway() {
 		// The human-operator giveaway from the paper, posted once.
 		s.Send(m.ChannelID, b.Giveaway)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/botsdk"
@@ -183,7 +184,8 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 		runner = IdleBot{}
 	}
 	runner.Start(sess, BotEnv{MailRelay: env.Canary.BaseURL(), Prefix: sub.Prefix})
-	defer runner.Stop()
+	stopRunner := sync.OnceFunc(runner.Stop)
+	defer stopRunner()
 
 	// A believable conversation feed (§3): alternating persona messages.
 	exchanges := env.Feed.Conversation(personas, cfg.FeedMessages)
@@ -224,6 +226,11 @@ func RunContext(ctx context.Context, env Env, cfg Config, sub Subject) (*Verdict
 	reg.Histogram("honeypot_settle_seconds").Observe(time.Since(settleStart))
 	reg.Counter("honeypot_experiments_completed_total").Inc()
 
+	// The watch can end while the bot is still acting on what it saw —
+	// a snoop trips its last token before posting its giveaway. Stopping
+	// the runner waits for that work, so the forensics read below sees
+	// every message the bot had under way.
+	stopRunner()
 	v, err := verdictFor(p, env, sub, guildTag, guild.ID, general.ID, bot.ID)
 	if err != nil {
 		return nil, err

@@ -53,13 +53,14 @@ func FuzzParse(f *testing.F) {
 
 // FuzzSelector asserts the selector compiler is total: any input either
 // compiles or is rejected, never panics, and matching never crashes.
+// Select and SelectFirst must also agree with the reference selector.
 func FuzzSelector(f *testing.F) {
-	for _, s := range []string{"a", "#id", ".cls", "a.b#c[d=e]", "ul > li", "a[", "%", "> >", "a >"} {
+	for _, s := range append([]string{"a", "#id", ".cls", "a.b#c[d=e]", "ul > li", "a[", "%", "> >", "a >"}, paritySelectors...) {
 		f.Add(s)
 	}
-	doc := Parse(`<div id="a" class="x"><p class="y z"><a href="u">t</a></p></div>`)
+	doc := Parse(`<div id="a" class="x"><p class="y z"><a href="u">t</a></p></div>` +
+		`<div class="x"><div class="y"><p><a href="v">u</a></p></div><p class="y"><a>w</a></p></div>`)
 	f.Fuzz(func(t *testing.T, sel string) {
-		doc.Select(sel)
-		doc.SelectFirst(sel)
+		checkSelectParity(t, doc, sel, "fuzz doc")
 	})
 }

@@ -224,6 +224,25 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEscapersAllocateLittle(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func(string) string
+		in   string
+		max  float64
+	}{
+		{"EscapeText clean", EscapeText, "nothing to escape in this listing text", 0},
+		{"EscapeAttr clean", EscapeAttr, "https://bots.example/bot/42", 0},
+		{"EscapeText dirty", EscapeText, `a & b < c > d "quoted"`, 2},
+		{"EscapeAttr dirty", EscapeAttr, `a & b < c > d "quoted"`, 2},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, func() { c.fn(c.in) }); got > c.max {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}
+
 func TestParseNeverPanics(t *testing.T) {
 	f := func(s string) bool {
 		doc := Parse(s)

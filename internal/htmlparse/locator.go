@@ -87,7 +87,7 @@ type simpleSelector struct {
 	child   bool // true when joined to the previous selector with '>'
 }
 
-func (s simpleSelector) matches(n *Node) bool {
+func (s *simpleSelector) matches(n *Node) bool {
 	if n.Type != NodeElement {
 		return false
 	}
@@ -194,20 +194,15 @@ func (n *Node) Select(sel string) []*Node {
 	if err != nil {
 		return nil
 	}
+	return selectChain(n, chain)
+}
+
+// selectChain applies the compound selectors in turn, each step
+// starting from the elements the previous one matched.
+func selectChain(n *Node, chain []simpleSelector) []*Node {
 	current := []*Node{n}
-	for _, s := range chain {
-		var next []*Node
-		seen := make(map[*Node]bool)
-		for _, base := range current {
-			candidates := selectorCandidates(base, s.child)
-			for _, c := range candidates {
-				if s.matches(c) && !seen[c] {
-					seen[c] = true
-					next = append(next, c)
-				}
-			}
-		}
-		current = next
+	for i := range chain {
+		current = chain[i].step(current)
 		if len(current) == 0 {
 			return nil
 		}
@@ -215,35 +210,71 @@ func (n *Node) Select(sel string) []*Node {
 	return current
 }
 
-func selectorCandidates(base *Node, childOnly bool) []*Node {
-	if childOnly {
-		var out []*Node
-		for _, c := range base.Children {
-			if c.Type == NodeElement {
-				out = append(out, c)
-			}
-		}
-		return out
+// step returns, for each base in order, the elements below it that s
+// matches, each element once. One base's walk never meets an element
+// twice, so the seen-set is kept only when there are several bases.
+func (s *simpleSelector) step(bases []*Node) []*Node {
+	var seen map[*Node]bool
+	if len(bases) > 1 {
+		seen = make(map[*Node]bool)
 	}
 	var out []*Node
-	for _, c := range base.Children {
-		c.Walk(func(x *Node) bool {
-			if x.Type == NodeElement {
-				out = append(out, x)
-			}
-			return true
-		})
+	for _, base := range bases {
+		out = s.collect(base, out, seen)
 	}
 	return out
 }
 
-// SelectFirst returns the first selector match or nil.
+// collect appends the elements below base that s matches — its
+// children for a child step, else its descendants in document order —
+// leaving out those already in a non-nil seen and recording the rest.
+func (s *simpleSelector) collect(base *Node, out []*Node, seen map[*Node]bool) []*Node {
+	for _, c := range base.Children {
+		if s.matches(c) && !seen[c] {
+			if seen != nil {
+				seen[c] = true
+			}
+			out = append(out, c)
+		}
+		if !s.child {
+			out = s.collect(c, out, seen)
+		}
+	}
+	return out
+}
+
+// first returns the first element collect would append from base.
+func (s *simpleSelector) first(base *Node) *Node {
+	for _, c := range base.Children {
+		if s.matches(c) {
+			return c
+		}
+		if !s.child {
+			if m := s.first(c); m != nil {
+				return m
+			}
+		}
+	}
+	return nil
+}
+
+// SelectFirst returns the first selector match or nil. It equals
+// Select(sel)[0] without building the last step's list: that step
+// appends each base's matches in base order and nothing is seen before
+// its first append, so the first match of the first base that has one
+// is the answer.
 func (n *Node) SelectFirst(sel string) *Node {
-	matches := n.Select(sel)
-	if len(matches) == 0 {
+	chain, err := parseSelector(sel)
+	if err != nil {
 		return nil
 	}
-	return matches[0]
+	last := &chain[len(chain)-1]
+	for _, base := range selectChain(n, chain[:len(chain)-1]) {
+		if m := last.first(base); m != nil {
+			return m
+		}
+	}
+	return nil
 }
 
 // RequireFirst returns the first match or ErrNoSuchElement, mirroring

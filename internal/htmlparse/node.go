@@ -1,6 +1,10 @@
 package htmlparse
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // NodeType classifies tree nodes.
 type NodeType int
@@ -91,13 +95,21 @@ func (n *Node) ID() string { return n.AttrOr("id", "") }
 // HasClass reports whether the element's class list contains name.
 func (n *Node) HasClass(name string) bool {
 	cls, ok := n.Attr("class")
-	if !ok {
+	if !ok || name == "" {
 		return false
 	}
-	for _, c := range strings.Fields(cls) {
-		if c == name {
+	// Scan the space-separated list in place: selectors test every
+	// element, and splitting it would allocate each time.
+	for cls != "" {
+		i := strings.IndexFunc(cls, unicode.IsSpace)
+		if i < 0 {
+			return cls == name
+		}
+		if cls[:i] == name {
 			return true
 		}
+		_, size := utf8.DecodeRuneInString(cls[i:])
+		cls = cls[i+size:]
 	}
 	return false
 }
@@ -132,16 +144,4 @@ func (n *Node) Walk(fn func(*Node) bool) bool {
 		}
 	}
 	return true
-}
-
-// elements returns all element nodes in document order.
-func (n *Node) elements() []*Node {
-	var out []*Node
-	n.Walk(func(x *Node) bool {
-		if x.Type == NodeElement {
-			out = append(out, x)
-		}
-		return true
-	})
-	return out
 }

@@ -300,15 +300,16 @@ func parseNumericRef(s string) rune {
 	return rune(n)
 }
 
+// The escapers are built once and shared: a strings.Replacer is safe
+// for concurrent use, and building one costs far more than a Replace.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText escapes text for safe inclusion in HTML element content.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes text for safe inclusion in a double-quoted
 // attribute value.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

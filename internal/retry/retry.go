@@ -178,10 +178,14 @@ func (b *Budget) Remaining() int {
 // policy, or ctx is cancelled. Context errors — from ctx itself or
 // surfaced by fn — are returned verbatim and never retried.
 func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
+	return do(ctx, p, fn, sleep)
+}
+
+// do is Do with the wait between attempts supplied by the caller, so
+// tests can observe the backoff schedule without sleeping through it.
+func do(ctx context.Context, p Policy, fn func(context.Context) error, wait func(context.Context, time.Duration) error) error {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	delay := p.BaseDelay
-	var lastErr error
+	sched := newSchedule(p)
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -197,28 +201,23 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 		if errors.As(err, &perm) {
 			return perm.Err
 		}
-		lastErr = err
 		if attempt >= p.MaxAttempts {
-			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt, lastErr)
+			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt, err)
 		}
 		if !p.Budget.Take() {
-			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, lastErr)
+			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, err)
 		}
-		wait := jittered(delay, p.Jitter, rng)
+		d := sched.next()
 		if hint, ok := RetryAfterHint(err); ok {
 			if hint > p.RetryAfterCap {
 				hint = p.RetryAfterCap
 			}
-			if hint > wait {
-				wait = hint
+			if hint > d {
+				d = hint
 			}
 		}
-		if err := sleep(ctx, wait); err != nil {
+		if err := wait(ctx, d); err != nil {
 			return err
-		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
 		}
 	}
 }
@@ -227,31 +226,42 @@ func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
 // when no Retry-After hints arrive — the deterministic-jitter contract,
 // testable without sleeping.
 func PreviewDelays(p Policy, n int) []time.Duration {
-	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	delay := p.BaseDelay
+	sched := newSchedule(p.withDefaults())
 	out := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, jittered(delay, p.Jitter, rng))
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		out = append(out, sched.next())
 	}
 	return out
 }
 
-// jittered spreads d symmetrically by the jitter fraction: a jitter of
-// 0.2 yields a uniform draw from [0.9d, 1.1d).
-func jittered(d time.Duration, jitter float64, rng *rand.Rand) time.Duration {
-	if jitter <= 0 {
-		return d
+// schedule is the backoff sequence of one Do: exponential growth from
+// BaseDelay capped at MaxDelay, each delay jittered from a stream seeded
+// by Policy.Seed. The stream is built on the first jittered draw, so an
+// operation that never backs off never pays for seeding it; the draws
+// and so the delays are the same as with an eagerly built stream.
+type schedule struct {
+	p     Policy
+	delay time.Duration
+	rng   *rand.Rand
+}
+
+func newSchedule(p Policy) schedule {
+	return schedule{p: p, delay: p.BaseDelay}
+}
+
+// next returns the wait before the next retry and advances the
+// schedule.
+func (s *schedule) next() time.Duration {
+	d := s.delay
+	if jitter := min(s.p.Jitter, 1); jitter > 0 {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.p.Seed))
+		}
+		// A jitter of 0.2 yields a uniform draw from [0.9d, 1.1d).
+		d = time.Duration(float64(d) * (1 - jitter/2 + jitter*s.rng.Float64()))
 	}
-	if jitter > 1 {
-		jitter = 1
-	}
-	f := 1 - jitter/2 + jitter*rng.Float64()
-	return time.Duration(float64(d) * f)
+	s.delay = min(time.Duration(float64(s.delay)*s.p.Multiplier), s.p.MaxDelay)
+	return d
 }
 
 // sleep waits for d or until ctx is done, whichever comes first.

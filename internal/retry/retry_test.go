@@ -263,3 +263,56 @@ func TestZeroJitterExactSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestDoWaitsThePreviewedSchedule checks the deterministic-jitter
+// contract end to end: for a function that fails n times, the backoff
+// delays Do waits are exactly PreviewDelays(p, n).
+func TestDoWaitsThePreviewedSchedule(t *testing.T) {
+	policies := []Policy{
+		{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.4, Seed: 42},
+		{MaxAttempts: 6, BaseDelay: 3 * time.Millisecond, MaxDelay: time.Second, Multiplier: 1.5, Jitter: 1.7, Seed: -9},
+		{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2},
+		{}, // defaults
+	}
+	for pi, p := range policies {
+		for n := 0; n < p.withDefaults().MaxAttempts; n++ {
+			var waited []time.Duration
+			record := func(_ context.Context, d time.Duration) error {
+				waited = append(waited, d)
+				return nil
+			}
+			calls := 0
+			err := do(context.Background(), p, func(context.Context) error {
+				calls++
+				if calls <= n {
+					return errBoom
+				}
+				return nil
+			}, record)
+			if err != nil {
+				t.Fatalf("policy %d, %d failures: %v", pi, n, err)
+			}
+			want := PreviewDelays(p, n)
+			if len(waited) != len(want) {
+				t.Fatalf("policy %d, %d failures: waited %v, preview %v", pi, n, waited, want)
+			}
+			for i := range want {
+				if waited[i] != want[i] {
+					t.Fatalf("policy %d, %d failures: wait %d = %v, preview %v", pi, n, i, waited[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDoFirstAttemptSuccessAllocatesNothing guards the lazy jitter
+// stream: an operation that never backs off must not seed one.
+func TestDoFirstAttemptSuccessAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	p := fastPolicy()
+	p.Jitter = 0.2
+	ok := func(context.Context) error { return nil }
+	if got := testing.AllocsPerRun(100, func() { _ = Do(ctx, p, ok) }); got != 0 {
+		t.Errorf("Do allocated %.0f times on a first-attempt success, want 0", got)
+	}
+}
