@@ -26,6 +26,8 @@ type Reconnector struct {
 	handlers []registeredHandler
 	closed   bool
 	wakeups  int
+	// stop is closed by Close, cutting short a redial backoff.
+	stop chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -45,7 +47,8 @@ func Reconnect(addr, token string, opts Options) (*Reconnector, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reconnector{addr: addr, token: token, opts: opts, sess: sess, MaxBackoff: 2 * time.Second}
+	r := &Reconnector{addr: addr, token: token, opts: opts, sess: sess, MaxBackoff: 2 * time.Second,
+		stop: make(chan struct{})}
 	r.wg.Add(1)
 	go r.watch(sess)
 	return r, nil
@@ -60,6 +63,7 @@ func (r *Reconnector) watch(sess *Session) {
 		r.mu.Unlock()
 		return
 	}
+	maxBackoff := r.MaxBackoff
 	r.mu.Unlock()
 
 	backoff := 25 * time.Millisecond
@@ -93,8 +97,14 @@ func (r *Reconnector) watch(sess *Session) {
 			go r.watch(next)
 			return
 		}
-		time.Sleep(backoff)
-		if backoff < r.MaxBackoff {
+		t := time.NewTimer(backoff)
+		select {
+		case <-t.C:
+		case <-r.stop:
+			t.Stop()
+			return
+		}
+		if backoff < maxBackoff {
 			backoff *= 2
 		}
 	}
@@ -178,6 +188,7 @@ func (r *Reconnector) Close() error {
 		return nil
 	}
 	r.closed = true
+	close(r.stop)
 	sess := r.sess
 	r.mu.Unlock()
 	var err error

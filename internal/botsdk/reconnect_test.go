@@ -196,6 +196,29 @@ func TestReconnectorCloseStopsHealing(t *testing.T) {
 	}
 }
 
+// TestReconnectorCloseCutsBackoffShort: Close must not wait out a
+// redial backoff, however long MaxBackoff lets it grow.
+func TestReconnectorCloseCutsBackoffShort(t *testing.T) {
+	g := newFlakyGateway(t)
+	r, err := Reconnect(g.ln.Addr().String(), "tok", Options{RequestTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	r.MaxBackoff = 5 * time.Second
+	r.mu.Unlock()
+	g.ln.Close()
+	g.drop()
+	// Backoffs double from 25 ms, so 2 s in the watcher is partway
+	// through its 1.6 s wait.
+	time.Sleep(2 * time.Second)
+	start := time.Now()
+	r.Close()
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Errorf("Close took %v with the gateway gone, want <= 250ms", d)
+	}
+}
+
 func TestReconnectorGivesUpNeverButBacksOff(t *testing.T) {
 	// Server that dies permanently: the reconnector must keep retrying
 	// with backoff without spinning; Close must still terminate it.

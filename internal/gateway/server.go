@@ -197,6 +197,11 @@ func NewServer(p *platform.Platform, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: listen: %w", err)
 	}
+	return newServer(p, ln), nil
+}
+
+// newServer starts a gateway serving connections accepted from ln.
+func newServer(p *platform.Platform, ln net.Listener) *Server {
 	s := &Server{
 		p:           p,
 		ln:          ln,
@@ -210,7 +215,7 @@ func NewServer(p *platform.Platform, addr string) (*Server, error) {
 	s.SetObs(nil)
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address, e.g. to hand to bot clients.
@@ -332,10 +337,10 @@ func (s *Server) tenantIdentBucket(owner platform.ID) *bucket {
 	return b
 }
 
-// writeFrame encodes one frame under a write deadline — the only way
-// any byte ever leaves the gateway. Pre-session handshake errors and
-// shed refusals use it directly; established sessions funnel every
-// frame through their writer goroutine, which also lands here.
+// writeFrame encodes one frame straight onto the connection under a
+// write deadline. Pre-session handshake errors and shed refusals use
+// it; established sessions write through their writer goroutine, which
+// batches frames under one deadline per flush.
 func writeFrame(conn net.Conn, enc *json.Encoder, f Frame, timeout time.Duration) error {
 	if timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(timeout))
@@ -354,7 +359,6 @@ type session struct {
 	conn net.Conn
 	bot  *platform.User
 	sub  *platform.Subscription
-	enc  *json.Encoder
 
 	limits  Limits
 	control chan Frame
@@ -362,7 +366,7 @@ type session struct {
 	done    chan struct{}
 
 	lastRecv atomic.Int64 // unix nanos of the last frame read
-	sent     atomic.Int64 // frames written to the socket
+	sent     atomic.Int64 // frames flushed to the socket
 	dropped  atomic.Int64 // dispatch frames evicted by drop-oldest
 
 	rate bucket
@@ -395,41 +399,114 @@ func (sess *session) reason() string {
 	return sess.closeReason
 }
 
-// writeLoop is the session's single socket writer. Control frames are
-// preferred over event frames so a flood of dispatches can never starve
-// a response or heartbeat ack.
+// A write buffer's size, and the buffered byte count at which a writer
+// stops draining its session's queues and flushes.
+const (
+	writeBufSize = 32 << 10
+	flushAt      = 16 << 10
+)
+
+// frameBuf is a write buffer and the frame encoder that fills it.
+// Session writers borrow one per wake-up instead of owning one, so an
+// idle session holds no buffer and a new session allocates none.
+type frameBuf struct {
+	w   *bufio.Writer
+	enc *json.Encoder
+}
+
+var frameBufs = sync.Pool{New: func() any {
+	b := &frameBuf{w: bufio.NewWriterSize(nil, writeBufSize)}
+	b.enc = json.NewEncoder(b.w)
+	return b
+}}
+
+// writeLoop is the session's single socket writer. Each wake-up it
+// blocks for one frame, then writes it and every frame already queued
+// behind it with one flush. Every pick prefers control frames over
+// event frames, so a flood of dispatches can never starve a response
+// or heartbeat ack.
 func (sess *session) writeLoop() {
 	for {
+		var f Frame
+		var event bool
 		select {
-		case f := <-sess.control:
-			if !sess.write(f) {
-				return
-			}
+		case f = <-sess.control:
 		default:
 			select {
-			case f := <-sess.control:
-				if !sess.write(f) {
-					return
-				}
-			case f := <-sess.events:
-				if !sess.write(f) {
-					return
-				}
-				sess.srv.metrics.Load().cEventsOut.Inc()
+			case f = <-sess.control:
+			case f = <-sess.events:
+				event = true
 			case <-sess.done:
 				return
 			}
 		}
+		if !sess.writeBatch(f, event) {
+			return
+		}
 	}
 }
 
-func (sess *session) write(f Frame) bool {
-	if err := writeFrame(sess.conn, sess.enc, f, sess.limits.WriteTimeout); err != nil {
+// writeBatch encodes f, then queued frames until both queues are empty
+// or flushAt bytes are buffered, and flushes them under one write
+// deadline. Only flushed frames are counted as sent. A failed write
+// closes the session and reports false.
+func (sess *session) writeBatch(f Frame, event bool) bool {
+	b := frameBufs.Get().(*frameBuf)
+	b.w.Reset(sess.conn)
+	timeout := sess.limits.WriteTimeout
+	if timeout > 0 {
+		sess.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	var frames, events int64
+	for {
+		// On error b is not returned to the pool: its encoder keeps
+		// the error.
+		if err := b.enc.Encode(f); err != nil {
+			sess.closeWith("write_error")
+			return false
+		}
+		frames++
+		if event {
+			events++
+		}
+		if b.w.Buffered() >= flushAt {
+			break
+		}
+		var ok bool
+		if f, event, ok = sess.queued(); !ok {
+			break
+		}
+	}
+	if err := b.w.Flush(); err != nil {
 		sess.closeWith("write_error")
 		return false
 	}
-	sess.sent.Add(1)
+	b.w.Reset(nil)
+	frameBufs.Put(b)
+	if timeout > 0 {
+		sess.conn.SetWriteDeadline(time.Time{})
+	}
+	sess.sent.Add(frames)
+	if events > 0 {
+		sess.srv.metrics.Load().cEventsOut.Add(events)
+	}
 	return true
+}
+
+// queued takes the next already-queued frame without blocking, control
+// before events; ok is false when both queues are empty.
+func (sess *session) queued() (f Frame, event, ok bool) {
+	select {
+	case f = <-sess.control:
+		return f, false, true
+	default:
+	}
+	select {
+	case f = <-sess.events:
+		return f, true, true
+	default:
+		return Frame{}, false, false
+	}
 }
 
 // send enqueues a control frame (ready, response, ack, error), blocking
@@ -589,7 +666,6 @@ func (s *Server) serve(conn net.Conn) {
 		srv:     s,
 		conn:    conn,
 		bot:     bot,
-		enc:     enc,
 		limits:  limits,
 		control: make(chan Frame, 32),
 		events:  make(chan Frame, limits.SendQueue),

@@ -181,6 +181,32 @@ func TestServerRemovedAndSlow(t *testing.T) {
 	}
 }
 
+// TestSlowRedirectStopsWhenClientGivesUp: the slow-invite stall ends
+// when the client's request does, not after the full delay.
+func TestSlowRedirectStopsWhenClientGivesUp(t *testing.T) {
+	bots := sampleBots(1)
+	bots[0].InviteHealth = InviteSlow
+	srv := newServer(t, bots, AntiScrape{SlowRedirectDelay: 3 * time.Second})
+	returned := make(chan struct{}, 1)
+	srv.SetMiddleware(func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			returned <- struct{}{}
+		})
+	})
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	start := time.Now()
+	if resp, err := client.Get(srv.BaseURL() + "/oauth/slow/1"); err == nil {
+		resp.Body.Close()
+		t.Fatal("slow redirect answered within the client's 50 ms timeout")
+	}
+	select {
+	case <-returned:
+	case <-time.After(time.Until(start.Add(250 * time.Millisecond))):
+		t.Fatal("handler still stalling 250 ms after a request whose client gave up at 50 ms")
+	}
+}
+
 func TestServerSitePages(t *testing.T) {
 	bots := sampleBots(4)
 	bots[1].HasPolicyLink = true // bot ID 2 has website (even)

@@ -298,8 +298,15 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSlowRedirect(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/oauth/slow/")
-	// The whole point of this endpoint is the stall.
-	time.Sleep(s.guard.cfg.SlowRedirectDelay)
+	// The whole point of this endpoint is the stall, but once the
+	// client has given up there is no one left to stall.
+	t := time.NewTimer(s.guard.cfg.SlowRedirectDelay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-r.Context().Done():
+		return
+	}
 	bot, ok := func() (*Bot, bool) {
 		n, err := strconv.Atoi(id)
 		if err != nil {

@@ -120,14 +120,5 @@ func (p *Platform) RespondInteraction(botID, guildID, interactionID ID, content 
 		return nil, ErrEmptyContent
 	}
 	in.responded = true
-	msg := &Message{
-		ID: p.ids.Next(), ChannelID: ch.ID, GuildID: g.ID,
-		AuthorID: botID, Content: content, Timestamp: p.now(),
-	}
-	ch.Messages = append(ch.Messages, msg)
-	p.publishLocked(Event{
-		Type: EventMessageCreate, GuildID: g.ID, ChannelID: ch.ID,
-		UserID: botID, Message: msg, At: msg.Timestamp,
-	})
-	return msg, nil
+	return p.postLocked(ch, botID, content, nil), nil
 }

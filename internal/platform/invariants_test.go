@@ -148,7 +148,11 @@ func checkInvariants(t *testing.T, p *Platform, g *Guild, step int) {
 	// account (the author may have since left the guild, but the account
 	// must exist).
 	for _, ch := range g.Channels {
-		for _, msg := range ch.Messages {
+		msgs, err := p.ChannelMessages(ch.ID)
+		if err != nil {
+			t.Errorf("step %d: channel %s: %v", step, ch.ID, err)
+		}
+		for _, msg := range msgs {
 			if msg.ID == Nil {
 				t.Errorf("step %d: message without ID", step)
 			}

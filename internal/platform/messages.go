@@ -25,11 +25,21 @@ func (p *Platform) SendMessage(actorID, channelID ID, content string, atts ...At
 	if err := p.requireChannelLocked(g, ch, actorID, need); err != nil {
 		return nil, err
 	}
+	msg := p.postLocked(ch, actorID, content, atts)
+	p.cMessages.Inc()
+	return msg, nil
+}
+
+// postLocked stores a new message in a text channel's history and
+// publishes its MESSAGE_CREATE event; every message enters history
+// here. Callers hold p.mu and have done their permission checks. The
+// returned message is the caller's own copy.
+func (p *Platform) postLocked(ch *Channel, authorID ID, content string, atts []Attachment) *Message {
 	msg := &Message{
 		ID:        p.ids.Next(),
-		ChannelID: channelID,
-		GuildID:   g.ID,
-		AuthorID:  actorID,
+		ChannelID: ch.ID,
+		GuildID:   ch.GuildID,
+		AuthorID:  authorID,
 		Content:   content,
 		Timestamp: p.now(),
 	}
@@ -37,16 +47,16 @@ func (p *Platform) SendMessage(actorID, channelID ID, content string, atts ...At
 		a.ID = p.ids.Next()
 		msg.Attachments = append(msg.Attachments, a)
 	}
-	ch.Messages = append(ch.Messages, msg)
-	p.cMessages.Inc()
+	ch.history.add(msg)
 	p.publishLocked(Event{
-		Type: EventMessageCreate, GuildID: g.ID, ChannelID: channelID,
-		UserID: actorID, Message: msg, At: msg.Timestamp,
+		Type: EventMessageCreate, GuildID: ch.GuildID, ChannelID: ch.ID,
+		UserID: authorID, Message: msg, At: msg.Timestamp,
 	})
-	return msg, nil
+	return msg
 }
 
-// History returns up to limit most-recent messages, oldest first.
+// History returns up to limit most-recent messages, oldest first, as
+// fresh copies: changing one does not change the stored history.
 // Requires view-channel and read-message-history.
 func (p *Platform) History(actorID, channelID ID, limit int) ([]*Message, error) {
 	p.mu.RLock()
@@ -62,13 +72,7 @@ func (p *Platform) History(actorID, channelID ID, limit int) ([]*Message, error)
 	if err := p.requireChannelLocked(g, ch, actorID, need); err != nil {
 		return nil, err
 	}
-	msgs := ch.Messages
-	if limit > 0 && len(msgs) > limit {
-		msgs = msgs[len(msgs)-limit:]
-	}
-	out := make([]*Message, len(msgs))
-	copy(out, msgs)
-	return out, nil
+	return ch.history.messages(ch, limit), nil
 }
 
 // DeleteMessage removes a message. Authors may delete their own;
@@ -80,20 +84,18 @@ func (p *Platform) DeleteMessage(actorID, channelID, messageID ID) error {
 	if err != nil {
 		return err
 	}
-	for i, m := range ch.Messages {
-		if m.ID != messageID {
-			continue
-		}
-		if m.AuthorID != actorID {
-			if err := p.requireChannelLocked(g, ch, actorID, permissions.ManageMessages); err != nil {
-				return err
-			}
-		}
-		ch.Messages = append(ch.Messages[:i], ch.Messages[i+1:]...)
-		p.auditLocked(g.ID, actorID, "message.delete", messageID.String(), "")
-		return nil
+	i, ok := ch.history.find(messageID)
+	if !ok {
+		return ErrNotFound
 	}
-	return ErrNotFound
+	if ch.history.at(i).author != actorID {
+		if err := p.requireChannelLocked(g, ch, actorID, permissions.ManageMessages); err != nil {
+			return err
+		}
+	}
+	ch.history.remove(i)
+	p.auditLocked(g.ID, actorID, "message.delete", messageID.String(), "")
+	return nil
 }
 
 // Attachment fetches a posted attachment by message and attachment ID.
@@ -109,16 +111,9 @@ func (p *Platform) Attachment(actorID, channelID, messageID, attachmentID ID) (*
 	if err := p.requireChannelLocked(g, ch, actorID, permissions.ViewChannel); err != nil {
 		return nil, err
 	}
-	for _, m := range ch.Messages {
-		if m.ID != messageID {
-			continue
-		}
-		for i := range m.Attachments {
-			if m.Attachments[i].ID == attachmentID {
-				a := m.Attachments[i]
-				return &a, nil
-			}
-		}
+	a, ok := ch.history.attachment(messageID, attachmentID)
+	if !ok {
+		return nil, ErrNotFound
 	}
-	return nil, ErrNotFound
+	return &a, nil
 }

@@ -51,9 +51,9 @@ func (p *Platform) GuildSummary(guildID, userID ID) (GuildInfo, error) {
 	return info, nil
 }
 
-// ChannelMessages returns a copy of every message in a channel without
-// a permission check — trusted internal access for experiment
-// forensics, the counterpart of AuditLog's Nil-actor path.
+// ChannelMessages returns copies of every message in a channel, oldest
+// first, without a permission check — trusted internal access for
+// experiment forensics, the counterpart of AuditLog's Nil-actor path.
 func (p *Platform) ChannelMessages(channelID ID) ([]*Message, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -61,9 +61,7 @@ func (p *Platform) ChannelMessages(channelID ID) ([]*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Message, len(ch.Messages))
-	copy(out, ch.Messages)
-	return out, nil
+	return ch.history.messages(ch, 0), nil
 }
 
 // MemberCount returns the number of members in a guild.

@@ -89,14 +89,17 @@ func (k ChannelKind) String() string {
 	return "text"
 }
 
-// Channel is a guild text or voice channel.
+// Channel is a guild text or voice channel. A text channel's messages
+// are stored compactly inside it and read through History or
+// ChannelMessages, which return copies.
 type Channel struct {
 	ID         ID
 	GuildID    ID
 	Name       string
 	Kind       ChannelKind
 	Overwrites []Overwrite
-	Messages   []*Message // text channels only, append-ordered
+
+	history history // text channels only, append-ordered
 }
 
 // Member is a user's membership record within one guild.

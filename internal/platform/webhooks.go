@@ -86,7 +86,7 @@ func (p *Platform) ExecuteWebhook(token, displayName, content string) (*Message,
 	if content == "" {
 		return nil, ErrEmptyContent
 	}
-	ch, g, err := p.channelLocked(wh.ChannelID)
+	ch, _, err := p.channelLocked(wh.ChannelID)
 	if err != nil {
 		return nil, err
 	}
@@ -94,15 +94,8 @@ func (p *Platform) ExecuteWebhook(token, displayName, content string) (*Message,
 	if name == "" {
 		name = wh.Name
 	}
-	msg := &Message{
-		ID: p.ids.Next(), ChannelID: ch.ID, GuildID: g.ID,
-		AuthorID:  wh.ID, // webhook identity, not a user account
-		Content:   "[" + name + "] " + content,
-		Timestamp: p.now(),
-	}
-	ch.Messages = append(ch.Messages, msg)
-	p.publishLocked(Event{Type: EventMessageCreate, GuildID: g.ID, ChannelID: ch.ID, UserID: wh.ID, Message: msg, At: msg.Timestamp})
-	return msg, nil
+	// The author is the webhook's identity, not a user account.
+	return p.postLocked(ch, wh.ID, "["+name+"] "+content, nil), nil
 }
 
 // WebhooksOf lists a guild's webhooks (manage-webhooks required):
