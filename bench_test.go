@@ -12,16 +12,19 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/botsdk"
 	"repro/internal/canary"
 	"repro/internal/codeanalysis"
+	"repro/internal/codehost"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/enforcer"
@@ -47,20 +50,118 @@ var benchBots = flag.Int("bench-bots", 1000, "population size for table/figure b
 
 // ---- shared fixtures ----
 
-// crawlFixture stands up listing + scraper over a seeded population and
-// crawls it once, returning the records the table benchmarks consume.
-func crawlFixture(b *testing.B, n int) (*core.Auditor, []*scraper.Record) {
+// pipelineFixture runs the pipeline once over a seeded population (with
+// a one-bot honeypot sample), returning the auditor and the results the
+// table benchmarks consume.
+func pipelineFixture(b *testing.B, n int) (*core.Auditor, *core.Results) {
 	b.Helper()
-	a, err := core.NewAuditor(core.Options{Seed: 2022, NumBots: n, Honeypot: core.HoneypotOptions{Sample: 1}})
+	a, err := core.NewAuditor(core.Options{
+		Seed:     2022,
+		NumBots:  n,
+		Honeypot: core.HoneypotOptions{Sample: 1},
+		Exec:     core.ExecOptions{Strict: true},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(a.Close)
-	records, err := a.CollectContext(context.Background())
+	res, err := a.RunAllContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return a, records
+	return a, res
+}
+
+// runPool calls fn for 0..n-1 with up to workers calls in flight, as the
+// pipeline executor's stage gates do, and returns the joined errors.
+func runPool(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// crawl walks a listing through a Crawler, eight bots at a time, and
+// returns the scraped records in listing order plus the quarantine count.
+func crawl(c *scraper.Client, cfg scraper.Config) ([]*scraper.Record, int, error) {
+	ctx := context.Background()
+	cr := scraper.NewCrawler(c, cfg)
+	ids, _, err := cr.List(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	outs := make([]scraper.SettledBot, len(ids))
+	if err := runPool(len(ids), 8, func(i int) (err error) {
+		outs[i], err = cr.Settle(ctx, ids[i])
+		return err
+	}); err != nil {
+		return nil, 0, err
+	}
+	var records []*scraper.Record
+	quarantined := 0
+	for _, out := range outs {
+		if out.Rec != nil {
+			records = append(records, out.Rec)
+		} else if out.Quarantine != nil {
+			quarantined++
+		}
+	}
+	return records, quarantined, nil
+}
+
+// codeClient serves the ecosystem's code host and returns a client for it.
+func codeClient(b *testing.B, eco *synth.Ecosystem) *scraper.Client {
+	b.Helper()
+	srv, err := codehost.NewServer(eco.Host, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	c, err := scraper.NewClient(scraper.ClientConfig{BaseURL: srv.BaseURL(), Timeout: 5 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// analyzeCode settles every valid record's GitHub link through a fresh
+// Analyzer, eight bots at a time, and tallies them in record order.
+func analyzeCode(b *testing.B, c *scraper.Client, records []*scraper.Record) *codeanalysis.Result {
+	b.Helper()
+	az := codeanalysis.NewAnalyzer(c, codeanalysis.AnalyzeOptions{})
+	ras := make([]*codeanalysis.RepoAnalysis, len(records))
+	if err := runPool(len(records), 8, func(i int) error {
+		r := records[i]
+		if !r.PermsValid || r.GitHubURL == "" {
+			return nil
+		}
+		sl, err := az.SettleBot(context.Background(), r.ID, r.GitHubURL)
+		ras[i] = sl.RA
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	res := codeanalysis.NewResult()
+	for i, r := range records {
+		if !r.PermsValid {
+			continue
+		}
+		res.NoteBot(r.GitHubURL != "")
+		if ras[i] != nil {
+			res.Add(ras[i])
+		}
+	}
+	return res
 }
 
 // ---- FIG1: the full pipeline ----
@@ -90,7 +191,8 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // ---- FIG3: permission distribution ----
 
 func BenchmarkFigure3PermissionDistribution(b *testing.B) {
-	_, records := crawlFixture(b, *benchBots)
+	_, fix := pipelineFixture(b, *benchBots)
+	records := fix.Records
 	b.ResetTimer()
 	var dist []scraper.PermissionShare
 	for i := 0; i < b.N; i++ {
@@ -134,13 +236,18 @@ func BenchmarkTable1DeveloperDistribution(b *testing.B) {
 // ---- TAB2: traceability ----
 
 func BenchmarkTable2Traceability(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	_, fix := pipelineFixture(b, *benchBots)
+	var an traceability.Analyzer
 	b.ResetTimer()
-	var data report.Table2Data
 	for i := 0; i < b.N; i++ {
-		data, _ = a.TraceabilityContext(context.Background(), records)
+		for _, r := range fix.Records {
+			if r.PermsValid {
+				an.AnalyzePolicy(r.PolicyText, r.Perms)
+			}
+		}
 	}
 	b.StopTimer()
+	data := fix.Table2
 	report.Table2(io.Discard, data)
 	b.ReportMetric(100*float64(data.WebsiteLink)/float64(data.ActiveBots), "website_%")
 	b.ReportMetric(100*float64(data.PolicyValid)/float64(data.ActiveBots), "valid_policy_%")
@@ -153,15 +260,12 @@ func BenchmarkTable2Traceability(b *testing.B) {
 // ---- TAB3 + TEXT2: code analysis ----
 
 func BenchmarkTable3CodeAnalysis(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	a, fix := pipelineFixture(b, *benchBots)
+	c := codeClient(b, a.Ecosystem())
 	b.ResetTimer()
 	var res *codeanalysis.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, _, err = a.CodeAnalysisContext(context.Background(), records)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = analyzeCode(b, c, fix.Records)
 	}
 	b.StopTimer()
 	report.Table3(io.Discard, res)
@@ -172,13 +276,11 @@ func BenchmarkTable3CodeAnalysis(b *testing.B) {
 }
 
 func BenchmarkGitHubLinkTaxonomy(b *testing.B) {
-	a, records := crawlFixture(b, *benchBots)
+	a, fix := pipelineFixture(b, *benchBots)
+	c := codeClient(b, a.Ecosystem())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := a.CodeAnalysisContext(context.Background(), records)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := analyzeCode(b, c, fix.Records)
 		if i == b.N-1 {
 			b.StopTimer()
 			b.ReportMetric(100*float64(res.WithLink)/float64(res.ActiveBots), "link_rate_%")
@@ -204,11 +306,10 @@ func BenchmarkScrapeYield(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cres, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: 8, Strict: true})
+		records, _, err = crawl(c, scraper.Config{Strict: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		records = cres.Records
 	}
 	b.StopTimer()
 	report.ScrapeYield(io.Discard, records)
@@ -256,12 +357,12 @@ func BenchmarkCrawlFaultResilience(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: 8})
+				records, q, err := crawl(c, scraper.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				bots += len(res.Records)
-				quarantined += len(res.Quarantined)
+				bots += len(records)
+				quarantined += q
 			}
 			b.StopTimer()
 			srv.SetMiddleware(nil)
@@ -292,12 +393,14 @@ func BenchmarkHoneypotCampaign(b *testing.B) {
 		}
 		cfg := honeypot.DefaultConfig()
 		cfg.Settle = 300 * time.Millisecond
-		res, err := honeypot.CampaignContext(context.Background(), env, eco, honeypot.CampaignConfig{
-			SampleSize: 25, Concurrency: 12, Experiment: cfg,
-		})
-		if err != nil {
+		camp := honeypot.NewCampaignRunner(env, eco, honeypot.CampaignConfig{SampleSize: 25, Experiment: cfg})
+		if err := runPool(len(camp.Sample()), 12, func(i int) error {
+			_, _, err := camp.RunBot(context.Background(), i)
+			return err
+		}); err != nil {
 			b.Fatal(err)
 		}
+		res := camp.Result()
 		if len(res.Triggered) != 1 || res.Triggered[0].Subject.Name != "Melonian" {
 			b.Fatalf("campaign verdicts wrong: %+v", res.Triggered)
 		}
@@ -321,9 +424,8 @@ func BenchmarkShardedScaleSmoke(b *testing.B) {
 			Seed:    2022,
 			NumBots: 2000,
 			Honeypot: core.HoneypotOptions{
-				Sample:      50,
-				Concurrency: 16,
-				Settle:      200 * time.Millisecond,
+				Sample: 50,
+				Settle: 200 * time.Millisecond,
 			},
 			Exec: core.ExecOptions{Shards: 4},
 		})
@@ -457,25 +559,34 @@ func BenchmarkAblationLocators(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationScrapeConcurrency sweeps crawl parallelism under the
-// listing's rate limiter — the operating point §3's self-rate-limiting
-// navigates.
+// BenchmarkAblationScrapeConcurrency sweeps the collect stage's
+// concurrency bound (Exec.StageWorkers.Collect) under the listing's rate
+// limiter — the operating point §3's self-rate-limiting navigates. The
+// pipeline runs end to end with a one-bot, 1ms honeypot sample, so the
+// crawl dominates.
 func BenchmarkAblationScrapeConcurrency(b *testing.B) {
 	eco := synth.Generate(synth.Config{Seed: 5, NumBots: 100})
-	srv, err := listing.NewServer(listing.NewDirectory(eco.Bots),
-		listing.AntiScrape{RequestsPerSecond: 2000, Burst: 100}, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(benchName(workers), func(b *testing.B) {
+			a, err := core.NewAuditor(core.Options{
+				Seed:      5,
+				Ecosystem: eco,
+				Scrape:    core.ScrapeOptions{AntiScrape: listing.AntiScrape{RequestsPerSecond: 2000, Burst: 100}},
+				Honeypot:  core.HoneypotOptions{Sample: 1, Settle: time.Millisecond},
+				Exec: core.ExecOptions{
+					Shards:       16,
+					Strict:       true,
+					StageWorkers: core.StageWorkers{Collect: workers},
+				},
+				Obs: obs.NewRegistry(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer a.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := scraper.NewClient(scraper.ClientConfig{BaseURL: srv.BaseURL(), Timeout: time.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := scraper.CrawlResultContext(context.Background(), c, scraper.Config{Workers: workers, Strict: true}); err != nil {
+				if _, err := a.RunAllContext(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -657,7 +768,8 @@ func BenchmarkLongitudinalEpochs(b *testing.B) {
 // BenchmarkVettingPopulation measures the §7 mitigation over a crawled
 // population and reports its verdict split.
 func BenchmarkVettingPopulation(b *testing.B) {
-	_, records := crawlFixture(b, *benchBots)
+	_, fix := pipelineFixture(b, *benchBots)
+	records := fix.Records
 	b.ResetTimer()
 	var sum vetting.Summary
 	for i := 0; i < b.N; i++ {

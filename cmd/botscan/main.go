@@ -83,10 +83,9 @@ func main() {
 		seed         = flag.Int64("seed", 2022, "ecosystem generation seed")
 		bots         = flag.Int("bots", 2000, "listing population size (paper: 20915)")
 		sample       = flag.Int("sample", 100, "honeypot sample size (paper: 500)")
-		workers      = flag.Int("workers", 8, "scraper parallelism (sequential executor)")
-		shards       = flag.Int("shards", 0, "run the sharded work-stealing executor with this many shards (0 = sequential)")
-		stageWorkers = flag.Int("stage-workers", 0, "per-stage concurrency bound under -shards (0 = one per shard)")
-		benchScale   = flag.String("bench-scale", "", "append this run's scheduler/throughput stats to this JSON file (requires -shards)")
+		shards       = flag.Int("shards", 8, "work-stealing executor shards (and workers)")
+		stageWorkers = flag.Int("stage-workers", 0, "per-stage concurrency bound (0 = one per shard)")
+		benchScale   = flag.String("bench-scale", "", "append this run's scheduler/throughput stats to this JSON file")
 		settle       = flag.Duration("settle", 500*time.Millisecond, "honeypot trigger-watch window per bot")
 		defences     = flag.Bool("defences", false, "enable listing anti-scraping defences (captcha, flaky pages, rate limit)")
 		fullScale    = flag.Bool("full-scale", false, "use the paper's full 20,915-bot population (slow)")
@@ -130,11 +129,9 @@ func main() {
 	opts := core.Options{
 		Seed:    *seed,
 		NumBots: *bots,
-		Scrape:  core.ScrapeOptions{Workers: *workers},
 		Honeypot: core.HoneypotOptions{
-			Sample:      *sample,
-			Concurrency: 16,
-			Settle:      *settle,
+			Sample: *sample,
+			Settle: *settle,
 		},
 		Exec: core.ExecOptions{
 			Shards: *shards,
@@ -258,9 +255,6 @@ func main() {
 			"spans", res.BotTrace.Len(), "level", res.BotTrace.Level().String())
 	}
 	if *benchScale != "" {
-		if res.Scale == nil {
-			fatal("bench-scale", fmt.Errorf("-bench-scale requires -shards"))
-		}
 		if err := appendBenchScale(*benchScale, res.Scale); err != nil {
 			fatal("bench-scale", err)
 		}
@@ -700,9 +694,8 @@ func benchTraceRunOnce(lvl bottrace.Level, bots, sample, shards int, settle time
 		Seed:    seed,
 		NumBots: bots,
 		Honeypot: core.HoneypotOptions{
-			Sample:      sample,
-			Concurrency: 16,
-			Settle:      settle,
+			Sample: sample,
+			Settle: settle,
 		},
 		Exec:  core.ExecOptions{Shards: shards},
 		Trace: core.TraceOptions{Level: lvl},

@@ -258,6 +258,44 @@ func TestServerDisconnectFailsPending(t *testing.T) {
 	}
 }
 
+// TestServerDropEndsSessionGoroutines: when the server drops the
+// connection first, the session shuts itself down and its read and
+// heartbeat goroutines exit without a user Close; a later Close
+// returns promptly.
+func TestServerDropEndsSessionGoroutines(t *testing.T) {
+	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
+		if acceptIdentify(t, dec, enc) {
+			conn.Close()
+		}
+	})
+	sess, err := Dial(srv.ln.Addr().String(), "tok", Options{HeartbeatEvery: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sess.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("session not done after the server dropped it")
+	}
+	exited := make(chan struct{})
+	go func() {
+		sess.wg.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session goroutines still running after the server dropped the connection")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- sess.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked after the server dropped the connection")
+	}
+}
+
 func TestErrorResponseSurfaces(t *testing.T) {
 	srv := newScripted(t, func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
 		if !acceptIdentify(t, dec, enc) {

@@ -222,6 +222,16 @@ func (s *Session) OnMessage(h func(s *Session, m *Message)) {
 
 // Close tears the session down and waits for its goroutines.
 func (s *Session) Close() error {
+	err := s.shutdown()
+	s.wg.Wait()
+	return err
+}
+
+// shutdown marks the session closed, fails pending requests and closes
+// the connection without waiting for the session's goroutines — so
+// readLoop, itself one of them, can call it when the connection drops.
+// Only the first call does anything.
+func (s *Session) shutdown() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -235,9 +245,7 @@ func (s *Session) Close() error {
 		delete(s.pending, id)
 	}
 	s.mu.Unlock()
-	err := s.conn.Close()
-	s.wg.Wait()
-	return err
+	return s.conn.Close()
 }
 
 func (s *Session) send(f gateway.Frame) error {
@@ -251,7 +259,7 @@ func (s *Session) readLoop(dec *json.Decoder) {
 	for {
 		var f gateway.Frame
 		if err := dec.Decode(&f); err != nil {
-			s.Close()
+			s.shutdown()
 			return
 		}
 		switch f.Op {

@@ -5,20 +5,21 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 	"repro/internal/scraper"
 )
 
-// Analyzer is the stage's per-bot form for caller-scheduled executors
-// (the sharded pipeline). Where AnalyzeOptionsContext deduplicates
-// links up front, the Analyzer deduplicates on demand with a
+// Analyzer is the code-analysis stage in per-bot form; the caller's
+// scheduler decides which bot runs when. Many bots share a developer's
+// profile page or repository, so the Analyzer deduplicates links with a
 // single-flight cache: the first bot to reach a link fetches it, later
 // bots (possibly concurrent) wait on the same flight and clone its
 // analysis. One fetch per unique link keeps the fault injector's
 // per-endpoint attempt numbering — and with it the degradation ledger —
-// independent of scheduling, exactly as the batch path does.
+// independent of scheduling. A link whose fetch fails after retries
+// quarantines every bot that references it instead of aborting the
+// stage.
 type Analyzer struct {
 	Client *scraper.Client
 	Opts   AnalyzeOptions
@@ -79,11 +80,9 @@ func (az *Analyzer) resolve(ctx context.Context, link string) (*linkFlight, erro
 			return f, nil
 		}
 	}
-	linkCtx, span := obs.StartChild(ctx, "link-"+link)
-	endOp := trace.StartOpDetail(linkCtx, "codehost_fetch", link)
-	ra, err := AnalyzeLinkContext(linkCtx, az.Client, 0, link)
+	endOp := trace.StartOpDetail(ctx, "codehost_fetch", link)
+	ra, err := AnalyzeLinkContext(ctx, az.Client, 0, link)
 	endOp()
-	span.End()
 	if err != nil {
 		f.err = err
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -102,7 +101,8 @@ func (az *Analyzer) resolve(ctx context.Context, link string) (*linkFlight, erro
 }
 
 // SettleBot resolves one bot's link through the flight cache and emits
-// the same per-bot journal milestones as the batch path. The returned
+// the bot's journal milestone: code_flag, bot_quarantined, or
+// work_skipped for an outcome replayed from Opts.Resume. The returned
 // error is fatal (context cancellation only).
 func (az *Analyzer) SettleBot(ctx context.Context, botID int, link string) (SettledLink, error) {
 	ctx = trace.WithBot(ctx, botID, "")

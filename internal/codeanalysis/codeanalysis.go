@@ -13,11 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/htmlparse"
-	"repro/internal/obs"
-	"repro/internal/obs/journal"
 	"repro/internal/scraper"
 )
 
@@ -200,8 +197,7 @@ func (r *Result) NoteBot(hasLink bool) {
 }
 
 // Add folds one per-bot analysis into the §4.2 aggregate. Commutative,
-// so accumulation order — sequential job order or sharded completion
-// order — does not affect the totals.
+// so accumulation order does not affect the totals.
 func (r *Result) Add(ra *RepoAnalysis) {
 	r.Outcomes[ra.Outcome]++
 	if ra.Outcome != OutcomeValidRepo {
@@ -225,13 +221,11 @@ func (r *Result) Add(ra *RepoAnalysis) {
 	}
 }
 
-// AnalyzeOptions extends AnalyzeContext with checkpoint/resume hooks.
-// The stage's dedup unit is the unique link, so resume state and the
+// AnalyzeOptions carries an Analyzer's checkpoint/resume hooks. The
+// stage's dedup unit is the unique link, so resume state and the
 // checkpointer's feed are keyed by link, not bot: one settled link
 // covers every bot referencing it.
 type AnalyzeOptions struct {
-	// Workers controls fetch parallelism (default 4).
-	Workers int
 	// Resume, when set, replays settled link outcomes from a
 	// checkpoint; settled links are never re-fetched.
 	Resume *AnalyzeResume
@@ -250,189 +244,6 @@ type AnalyzeResume struct {
 	// Failed maps unique link → the error text that quarantined its
 	// bots.
 	Failed map[string]string
-}
-
-// AnalyzeContext is Analyze with cancellation: no new link fetches
-// start after ctx is done, and in-flight fetches abort. Each analyzed
-// link runs under its own child span of any span carried by ctx.
-//
-// Links are deduplicated before fetching: many bots share a developer's
-// profile page or repository, so each unique link is resolved exactly
-// once and its analysis cloned per bot. Besides saving fetches, this
-// keeps the fault injector's per-endpoint attempt numbering — and with
-// it the degradation ledger — independent of worker interleaving.
-//
-// A link whose fetch fails after retries quarantines every bot that
-// referenced it (Result.Quarantined) instead of aborting the stage;
-// only context cancellation returns an error.
-func AnalyzeContext(ctx context.Context, c *scraper.Client, records []*scraper.Record, workers int) (*Result, []*RepoAnalysis, error) {
-	return AnalyzeOptionsContext(ctx, c, records, AnalyzeOptions{Workers: workers})
-}
-
-// AnalyzeOptionsContext is AnalyzeContext with checkpoint/resume hooks:
-// links settled in opts.Resume are replayed (journaled as work_skipped
-// per referencing bot) instead of re-fetched, and every freshly settled
-// link is reported through opts.OnLink.
-func AnalyzeOptionsContext(ctx context.Context, c *scraper.Client, records []*scraper.Record, opts AnalyzeOptions) (*Result, []*RepoAnalysis, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	res := NewResult()
-	type job struct {
-		botID int
-		link  string
-	}
-	var jobs []job
-	links := make(map[string][]int) // unique link → indexes into jobs
-	var uniq []string
-	for _, r := range records {
-		if r == nil || !r.PermsValid {
-			continue
-		}
-		res.NoteBot(r.GitHubURL != "")
-		if r.GitHubURL == "" {
-			continue
-		}
-		if _, ok := links[r.GitHubURL]; !ok {
-			uniq = append(uniq, r.GitHubURL)
-		}
-		links[r.GitHubURL] = append(links[r.GitHubURL], len(jobs))
-		jobs = append(jobs, job{r.ID, r.GitHubURL})
-	}
-
-	linkResults := make([]*RepoAnalysis, len(uniq))
-	linkErrs := make([]error, len(uniq))
-	resumed := make([]bool, len(uniq))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var firstErr error
-	var mu sync.Mutex
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for u, link := range uniq {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		if opts.Resume != nil {
-			if ra, ok := opts.Resume.Settled[link]; ok {
-				clone := *ra
-				linkResults[u] = &clone
-				resumed[u] = true
-				continue
-			}
-			if msg, ok := opts.Resume.Failed[link]; ok {
-				linkErrs[u] = errors.New(msg)
-				resumed[u] = true
-				continue
-			}
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(u int, link string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			linkCtx, span := obs.StartChild(ctx, "link-"+link)
-			ra, err := AnalyzeLinkContext(linkCtx, c, 0, link)
-			span.End()
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					fail(err)
-					return
-				}
-				linkErrs[u] = err
-				if opts.OnLink != nil {
-					opts.OnLink(link, nil, err.Error())
-				}
-				return
-			}
-			linkResults[u] = ra
-			if opts.OnLink != nil {
-				opts.OnLink(link, ra, "")
-			}
-		}(u, link)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-
-	// Assemble per-bot analyses in job (listing) order, cloning the
-	// shared link result, and quarantine the bots behind failed links.
-	// Bots behind a link settled in the checkpoint are journaled as
-	// work_skipped instead of re-emitting their original milestones.
-	perJob := make([]*RepoAnalysis, len(jobs))
-	jobErr := make([]error, len(jobs))
-	jobResumed := make([]bool, len(jobs))
-	for u, link := range uniq {
-		for _, ji := range links[link] {
-			jobResumed[ji] = resumed[u]
-			if lerr := linkErrs[u]; lerr != nil {
-				jobErr[ji] = lerr
-				continue
-			}
-			if linkResults[u] == nil {
-				continue // fetch never ran (cancellation mid-stage)
-			}
-			clone := *linkResults[u]
-			clone.BotID = jobs[ji].botID
-			perJob[ji] = &clone
-		}
-	}
-	analyses := make([]*RepoAnalysis, 0, len(jobs))
-	for ji, ra := range perJob {
-		if ra == nil {
-			if jobErr[ji] != nil {
-				res.Quarantined = append(res.Quarantined, QuarantinedLink{
-					BotID: jobs[ji].botID, Link: jobs[ji].link, Err: jobErr[ji],
-				})
-				if jobResumed[ji] {
-					journal.Emit(journal.WithBot(ctx, jobs[ji].botID, ""), "codeanalysis",
-						journal.KindWorkSkipped, map[string]any{
-							"stage":  "codeanalysis",
-							"reason": "quarantined in checkpoint",
-							"link":   jobs[ji].link,
-						})
-				} else {
-					journal.Emit(journal.WithBot(ctx, jobs[ji].botID, ""), "codeanalysis",
-						journal.KindBotQuarantined, map[string]any{
-							"link":  jobs[ji].link,
-							"error": jobErr[ji].Error(),
-						})
-				}
-			}
-			continue
-		}
-		analyses = append(analyses, ra)
-		if jobResumed[ji] {
-			journal.Emit(journal.WithBot(ctx, ra.BotID, ""), "codeanalysis",
-				journal.KindWorkSkipped, map[string]any{
-					"stage":  "codeanalysis",
-					"reason": "settled in checkpoint",
-					"link":   jobs[ji].link,
-				})
-			continue
-		}
-		journal.Emit(journal.WithBot(ctx, ra.BotID, ""), "codeanalysis",
-			journal.KindCodeFlag, map[string]any{
-				"outcome":        string(ra.Outcome),
-				"language":       ra.MainLanguage,
-				"analyzed":       ra.Analyzed,
-				"performs_check": ra.PerformsCheck,
-				"patterns":       ra.PatternsFound,
-			})
-	}
-
-	for _, ra := range analyses {
-		res.Add(ra)
-	}
-	return res, analyses, nil
 }
 
 // ValidRepos returns the count of links that resolved to repositories.

@@ -2,7 +2,9 @@ package codeanalysis
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +25,49 @@ func startHost(t *testing.T, h *codehost.Host) *scraper.Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// analyze settles every perms-valid record's link through one Analyzer
+// with up to workers bots in flight, as a pipeline executor does, and
+// folds the outcomes into a Result in record order.
+func analyze(ctx context.Context, c *scraper.Client, records []*scraper.Record, workers int) (*Result, []*RepoAnalysis, error) {
+	az := NewAnalyzer(c, AnalyzeOptions{})
+	outs := make([]SettledLink, len(records))
+	errs := make([]error, len(records))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, r := range records {
+		if r == nil || !r.PermsValid || r.GitHubURL == "" {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			outs[i], errs[i] = az.SettleBot(ctx, r.ID, r.GitHubURL)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
+	}
+	res := NewResult()
+	var analyses []*RepoAnalysis
+	for i, r := range records {
+		if r == nil || !r.PermsValid {
+			continue
+		}
+		res.NoteBot(r.GitHubURL != "")
+		switch {
+		case outs[i].RA != nil:
+			analyses = append(analyses, outs[i].RA)
+			res.Add(outs[i].RA)
+		case outs[i].Quarantine != nil:
+			res.Quarantined = append(res.Quarantined, QuarantinedLink{BotID: r.ID, Link: r.GitHubURL, Err: outs[i].Quarantine})
+		}
+	}
+	return res, analyses, nil
 }
 
 func TestScanSource(t *testing.T) {
@@ -113,7 +158,7 @@ func TestAnalyzeAggregate(t *testing.T) {
 		{ID: 6, PermsValid: false, GitHubURL: "/a/js-checked"}, // inactive: skipped
 		nil,
 	}
-	res, analyses, err := AnalyzeContext(context.Background(), c, records, 2)
+	res, analyses, err := analyze(context.Background(), c, records, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +201,7 @@ func TestSyntheticPopulationRates(t *testing.T) {
 			GitHubURL:  b.GitHubURL,
 		})
 	}
-	res, _, err := AnalyzeContext(context.Background(), c, records, 8)
+	res, _, err := analyze(context.Background(), c, records, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,25 +14,25 @@
 //	res, _ := a.RunAllContext(ctx)
 //	res.Report(os.Stdout)
 //
-// Two executors share the same per-bot machinery: the default
-// sequential one runs the four stages as whole-population batches, and
-// the sharded one (Options.Exec.Shards >= 1) carries each bot through
+// One executor runs the pipeline: each bot is carried through
 // collect → traceability → code analysis → honeypot on a work-stealing
-// scheduler with per-stage concurrency gates.
+// scheduler (Options.Exec.Shards shards), with a concurrency gate per
+// stage that also times it.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/canary"
 	"repro/internal/checkpoint"
 	"repro/internal/codeanalysis"
 	"repro/internal/codehost"
+	"repro/internal/core/sched"
 	"repro/internal/corpus"
 	"repro/internal/faults"
 	"repro/internal/gateway"
@@ -59,9 +59,6 @@ type ScrapeOptions struct {
 	// Timeout bounds each scraper fetch (default 500ms — shorter than
 	// the slow-redirect delay, as the paper's timeouts were).
 	Timeout time.Duration
-	// Workers is the crawl parallelism (default 8). The sharded
-	// executor uses Exec.StageWorkers.Collect instead.
-	Workers int
 	// Solver answers captchas for both the scraper and the honeypot
 	// installer; defaults to a TwoCaptchaSim.
 	Solver scraper.Solver
@@ -72,15 +69,11 @@ type HoneypotOptions struct {
 	// Sample is how many most-voted bots the dynamic analysis tests
 	// (default: the paper's 500, capped at the population).
 	Sample int
-	// Concurrency bounds simultaneous guild experiments in the
-	// sequential executor (default 8); the sharded executor uses
-	// Exec.StageWorkers.Honeypot.
-	Concurrency int
 	// Settle is the per-bot trigger-watch window (default 500ms).
 	Settle time.Duration
 }
 
-// StageWorkers bounds the sharded executor's per-stage concurrency:
+// StageWorkers bounds the executor's per-stage concurrency:
 // how many workers may simultaneously occupy each stage's gate, i.e.
 // how much pressure the listing server, code host, and gateway each
 // see. Zero fields default to Exec.Shards.
@@ -90,27 +83,25 @@ type StageWorkers struct {
 	Honeypot int
 }
 
-// ExecOptions selects and tunes the pipeline executor.
+// ExecOptions tunes the pipeline executor.
 type ExecOptions struct {
 	// Strict restores fail-fast semantics: the first stage-level or
 	// per-bot failure aborts the pipeline instead of quarantining the
 	// bot and continuing with partial results.
 	Strict bool
-	// Shards switches RunAllContext to the sharded work-stealing
-	// executor with that many shards: each worker carries one bot
-	// through all four stages, stealing from loaded shards when its
-	// own drains. Zero (the default) keeps the sequential
-	// stage-at-a-time executor.
+	// Shards is the work-stealing executor's shard and worker count:
+	// each worker carries one bot through all four stages, stealing
+	// from loaded shards when its own drains. Zero means 8.
 	Shards int
-	// StageWorkers bounds per-stage concurrency under the sharded
-	// executor; zero fields default to Shards.
+	// StageWorkers bounds per-stage concurrency; zero fields default to
+	// Shards.
 	StageWorkers StageWorkers
 	// StageSoftDeadline, when positive, arms a watchdog over each
 	// pipeline stage: a stage running past the deadline gets a
 	// stage_stalled journal event carrying a full goroutine dump, then
 	// its context is cancelled with ErrStageStalled as the cause.
-	// Under the sharded executor stages share one wall-clock window,
-	// so the deadline spans the whole pipelined phase.
+	// The four analysis stages share one pipelined wall-clock window,
+	// so their deadline spans the whole phase.
 	StageSoftDeadline time.Duration
 	// StageRetryBudget, when positive, gives each network stage
 	// (collect, codeanalysis) its own shared retry budget of that many
@@ -181,7 +172,7 @@ type Options struct {
 	Scrape ScrapeOptions
 	// Honeypot tunes stage 4 (dynamic analysis).
 	Honeypot HoneypotOptions
-	// Exec selects the executor and its safety envelope.
+	// Exec tunes the executor and its safety envelope.
 	Exec ExecOptions
 	// Faults configures deterministic fault injection.
 	Faults FaultOptions
@@ -193,8 +184,8 @@ type Options struct {
 	// Trace configures per-bot tracing (off by default).
 	Trace TraceOptions
 
-	// Obs receives every stage's counters, histograms, and pipeline
-	// traces; nil uses the process-default registry. Its text exposition
+	// Obs receives every stage's counters and histograms; nil uses the
+	// process-default registry. Its text exposition
 	// is also mounted at /metrics on the listing server.
 	Obs *obs.Registry
 	// Journal receives one correlated event per pipeline milestone (page
@@ -261,10 +252,6 @@ type Results struct {
 	// Developer attribution (Table 1).
 	BotsPerDeveloper map[string]int
 
-	// Trace is the pipeline's stage-span tree; Report renders it as a
-	// per-stage timing table.
-	Trace *obs.Trace
-
 	// BotTrace is the per-bot tracer (nil when Options.Trace.Level is
 	// off): every bot-stage span, sub-operation, and scheduler event
 	// the run recorded, exportable via its WriteJSONL /
@@ -276,9 +263,9 @@ type Results struct {
 	// minted regardless so reports can cite it).
 	RunID string
 
-	// Scale is the sharded executor's scheduler/throughput accounting
-	// (nil under the sequential executor) — the source of
-	// BENCH_SCALE.json.
+	// Scale is the executor's scheduler/throughput accounting, including
+	// each stage gate's busy time — the source of the report's stage
+	// table and of BENCH_SCALE.json.
 	Scale *ScaleStats
 
 	// Degraded reports whether any stage absorbed an error or
@@ -306,17 +293,14 @@ func NewAuditor(opts Options) (*Auditor, error) {
 	if opts.Scrape.Timeout <= 0 {
 		opts.Scrape.Timeout = 500 * time.Millisecond
 	}
-	if opts.Scrape.Workers <= 0 {
-		opts.Scrape.Workers = 8
-	}
 	if opts.Scrape.Solver == nil {
 		opts.Scrape.Solver = &scraper.TwoCaptchaSim{CostPerSolve: 299}
 	}
 	if opts.Honeypot.Sample <= 0 {
 		opts.Honeypot.Sample = 500
 	}
-	if opts.Honeypot.Concurrency <= 0 {
-		opts.Honeypot.Concurrency = 8
+	if opts.Exec.Shards <= 0 {
+		opts.Exec.Shards = 8
 	}
 	if opts.Honeypot.Settle <= 0 {
 		opts.Honeypot.Settle = 500 * time.Millisecond
@@ -488,27 +472,10 @@ func (a *Auditor) Close() {
 	}
 }
 
-// CollectContext runs stage 1: crawl the listing and decode
-// permissions, failing fast on the first lost bot.
-func (a *Auditor) CollectContext(ctx context.Context) ([]*scraper.Record, error) {
-	res, err := scraper.CrawlResultContext(ctx, a.listClient, scraper.Config{
-		Workers: a.opts.Scrape.Workers,
-		Strict:  true,
-	})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("core: collect: %w", err)
-	}
-	return res.Records, nil
-}
-
 // auditOne folds one perms-valid record into the traceability
-// aggregates and emits its policy_audited event. Both executors route
-// every record through it, so per-record traceability is identical
-// whether it runs in a batch loop or interleaved per bot; the
-// aggregates themselves are commutative counters.
+// aggregates and emits its policy_audited event. The aggregates are
+// commutative counters, so the order bots reach the stage never
+// matters.
 func auditOne(ctx context.Context, an *traceability.Analyzer, d *report.Table2Data, dt *traceability.DataTypeResult, r *scraper.Record) {
 	ctx = bottrace.WithBot(ctx, r.ID, r.Name)
 	defer bottrace.StartStage(ctx)()
@@ -533,35 +500,6 @@ func auditOne(ctx context.Context, an *traceability.Analyzer, d *report.Table2Da
 	})
 }
 
-// TraceabilityContext runs stage 2 over collected records — the
-// Table 2 counts plus the ontology-based per-data-type refinement —
-// with ctx carrying the run's journal correlation: every audited
-// policy becomes a policy_audited event recording the bot and its
-// disclosure verdict.
-func (a *Auditor) TraceabilityContext(ctx context.Context, records []*scraper.Record) (report.Table2Data, *traceability.DataTypeResult) {
-	var d report.Table2Data
-	var an traceability.Analyzer
-	dt := traceability.NewDataTypeResult()
-	for _, r := range records {
-		if r == nil || !r.PermsValid {
-			continue
-		}
-		auditOne(ctx, &an, &d, dt, r)
-	}
-	return d, dt
-}
-
-// CodeAnalysisContext runs stage 3 over collected records.
-func (a *Auditor) CodeAnalysisContext(ctx context.Context, records []*scraper.Record) (*codeanalysis.Result, []*codeanalysis.RepoAnalysis, error) {
-	return codeanalysis.AnalyzeContext(ctx, a.codeClient, records, a.opts.Scrape.Workers)
-}
-
-// DynamicAnalysisContext runs stage 4: the honeypot campaign over the
-// most-voted sample.
-func (a *Auditor) DynamicAnalysisContext(ctx context.Context) (*honeypot.CampaignResult, error) {
-	return honeypot.CampaignContext(ctx, a.honeypotEnv(), a.eco, a.campaignConfig(nil, nil))
-}
-
 // honeypotEnv assembles the experiment environment shared by every
 // campaign this auditor runs.
 func (a *Auditor) honeypotEnv() honeypot.Env {
@@ -576,30 +514,26 @@ func (a *Auditor) honeypotEnv() honeypot.Env {
 	}
 }
 
-// campaignConfig assembles the campaign configuration with optional
-// checkpoint hooks: a resume state replaying settled experiments and a
-// settle observer feeding the checkpointer.
-func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume, onSettled func(int, *honeypot.Verdict, error)) honeypot.CampaignConfig {
+// campaignConfig assembles the campaign configuration, with an optional
+// resume state replaying settled experiments.
+func (a *Auditor) campaignConfig(resume *honeypot.CampaignResume) honeypot.CampaignConfig {
 	expCfg := honeypot.DefaultConfig()
 	expCfg.Settle = a.opts.Honeypot.Settle
 	expCfg.Solver = a.opts.Scrape.Solver
 	return honeypot.CampaignConfig{
-		SampleSize:  a.opts.Honeypot.Sample,
-		Concurrency: a.opts.Honeypot.Concurrency,
-		Experiment:  expCfg,
-		Strict:      a.opts.Exec.Strict,
-		Resume:      resume,
-		OnSettled:   onSettled,
+		SampleSize: a.opts.Honeypot.Sample,
+		Experiment: expCfg,
+		Strict:     a.opts.Exec.Strict,
+		Resume:     resume,
 	}
 }
 
 // run carries one RunAllContext invocation's shared state between the
-// prologue, the chosen executor, and the epilogue.
+// prologue, the executor, and the epilogue.
 type run struct {
 	a      *Auditor
 	ctx    context.Context
 	res    *Results
-	trace  *obs.Trace
 	tracer *bottrace.Tracer
 	ck     *ckptState
 
@@ -610,43 +544,62 @@ type run struct {
 	collectBudget *retry.Budget
 	codeBudget    *retry.Budget
 	cDegraded     *obs.Counter
+
+	// gates are the pipelined stages' gates in pipeline order;
+	// stallOnce lets one watchdog per run report a stall.
+	gates     []*sched.Gate
+	stallOnce sync.Once
 }
 
-// stage opens a stage span with watchdog and journal brackets; the
-// returned func closes all three.
-func (r *run) stage(name string) (context.Context, func()) {
-	sp := r.trace.StartSpan(name)
-	sctx := obs.ContextWithSpan(r.ctx, sp)
-	sctx = bottrace.ContextWithStage(sctx, r.tracer, name)
+// stage brackets one pipeline stage over parent: the bottrace run
+// span, a soft-deadline watchdog cancelling through cancel (a fresh
+// cause-cancel when nil), and the stage_started/stage_completed journal
+// pair. A gated stage shares the pipelined window with its siblings, so
+// its events are marked concurrent, its completion carries the gate's
+// item count, and its stall is blamed through stalledStage. The
+// returned func closes all three; call it once.
+func (r *run) stage(parent context.Context, cancel context.CancelCauseFunc, name string, gate *sched.Gate) (context.Context, func()) {
+	start := time.Now()
+	sctx := bottrace.ContextWithStage(parent, r.tracer, name)
 	endRunSpan := r.tracer.StartRunSpan(name)
 	stopWatchdog := func() {}
 	if dl := r.a.opts.Exec.StageSoftDeadline; dl > 0 {
-		var cancel context.CancelCauseFunc
-		sctx, cancel = context.WithCancelCause(sctx)
-		stopWatchdog = watchdog(sctx, name, dl, cancel)
+		if cancel == nil {
+			sctx, cancel = context.WithCancelCause(sctx)
+		}
+		blame := func() string { return name }
+		if gate != nil {
+			blame = r.stalledStage
+		}
+		stopWatchdog = watchdog(sctx, dl, &r.stallOnce, blame, cancel)
 	}
-	journal.Emit(sctx, "core", journal.KindStageStarted, map[string]any{"stage": name})
+	started := map[string]any{"stage": name}
+	if gate != nil {
+		started["concurrent"] = true
+	}
+	journal.Emit(sctx, "core", journal.KindStageStarted, started)
 	return sctx, func() {
 		stopWatchdog()
 		endRunSpan()
-		sp.End()
-		journal.Emit(sctx, "core", journal.KindStageCompleted, map[string]any{
-			"stage":   name,
-			"seconds": sp.Duration().Seconds(),
-		})
+		done := map[string]any{"stage": name, "seconds": time.Since(start).Seconds()}
+		if gate != nil {
+			done["concurrent"] = true
+			done["items"] = gate.Stats().Items
+		}
+		journal.Emit(sctx, "core", journal.KindStageCompleted, done)
 	}
 }
 
-// stageFail translates a stage error: watchdog stalls surface as
-// ErrStageStalled, outer cancellation as the context's error.
-func (r *run) stageFail(sctx context.Context, name string, err error) error {
-	if cause := context.Cause(sctx); cause != nil && errors.Is(cause, ErrStageStalled) {
-		return cause
+// stalledStage names the pipelined stage a stall is blamed on: the
+// earliest, in pipeline order, with work in flight — or else the first,
+// whose envelope also covers listing discovery.
+func (r *run) stalledStage() string {
+	for _, g := range r.gates {
+		if g.Inflight() > 0 {
+			return g.Name()
+		}
 	}
-	if ctxErr := r.ctx.Err(); ctxErr != nil {
-		return ctxErr
-	}
-	return fmt.Errorf("core: %s: %w", name, err)
+	return r.gates[0].Name()
 }
 
 // note records a stage's degradation tallies; a stage with absorbed
@@ -674,17 +627,12 @@ func retriesOf(c *scraper.Client) int {
 
 // RunAllContext executes the full Figure 1 pipeline with cancellation:
 // cancelling ctx aborts the pipeline at its next wait point and
-// returns the context's error. The run is recorded as a "pipeline"
-// trace with one span per stage, and — when a journal is configured —
-// as a stream of correlated events sharing one run ID, bracketed by
-// stage_started/stage_completed pairs.
-//
-// With Options.Exec.Shards >= 1 the four analysis stages run on the
-// sharded work-stealing executor; fault-free runs produce verdicts,
-// quarantines, and aggregates identical to the sequential executor on
-// the same seed.
+// returns the context's error. The four analysis stages run on the
+// sharded work-stealing executor; a fault-free run's exports and
+// report are the same at every shard count. When a journal is
+// configured the run is a stream of correlated events sharing one run
+// ID, bracketed by stage_started/stage_completed pairs.
 func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
-	trace := a.obs.StartTrace("pipeline")
 	runID := fmt.Sprintf("run-%d", time.Now().UnixNano())
 
 	// Checkpointing: load the resume snapshot (keeping its run ID so
@@ -720,7 +668,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	}
 
 	res := &Results{
-		Trace:       trace,
 		RunID:       runID,
 		StageErrors: make(map[string]error),
 		Degradation: make(map[string]report.StageDegradation),
@@ -751,15 +698,10 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		journal.Emit(ctx, "core", journal.KindRunResumed, fields)
 	}
 
-	// Per-bot tracer: sharded by the executor's worker count (the
-	// sequential executor hashes bots across the same buffer count).
+	// Per-bot tracer: one buffer per executor worker.
 	tracer := a.opts.Trace.Tracer
 	if tracer == nil && a.opts.Trace.Level != bottrace.LevelOff {
-		shards := a.opts.Exec.Shards
-		if shards <= 0 {
-			shards = a.opts.Scrape.Workers
-		}
-		tracer = bottrace.New(runID, shards, a.opts.Trace.Level)
+		tracer = bottrace.New(runID, a.opts.Exec.Shards, a.opts.Trace.Level)
 	}
 	res.BotTrace = tracer
 
@@ -767,7 +709,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		a:         a,
 		ctx:       ctx,
 		res:       res,
-		trace:     trace,
 		tracer:    tracer,
 		ck:        ck,
 		scrapeRes: scrapeRes,
@@ -797,17 +738,11 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 		ck.trackBudget("codeanalysis", r.codeBudget)
 	}
 
-	var err error
-	if a.opts.Exec.Shards > 0 {
-		err = a.runSharded(r)
-	} else {
-		err = a.runSequential(r)
-	}
-	if err != nil {
+	if err := a.runSharded(r); err != nil {
 		return nil, err
 	}
 
-	_, endVet := r.stage("vetting")
+	_, endVet := r.stage(r.ctx, nil, "vetting", nil)
 	res.Vetting, res.VettingSummary = vetting.VetAll(res.Records)
 	endVet()
 
@@ -820,83 +755,6 @@ func (a *Auditor) RunAllContext(ctx context.Context) (*Results, error) {
 	}
 	ck.finish()
 	return res, nil
-}
-
-// runSequential is the historical stage-at-a-time executor: each stage
-// processes the whole population before the next begins.
-func (a *Auditor) runSequential(r *run) error {
-	res := r.res
-
-	collectCtx, endCollect := r.stage("collect")
-	listRetries := retriesOf(a.listClient)
-	crawl, err := scraper.CrawlResultContext(collectCtx, a.listClient, scraper.Config{
-		Workers:   a.opts.Scrape.Workers,
-		Strict:    a.opts.Exec.Strict,
-		Resume:    r.scrapeRes,
-		OnSettled: r.ck.noteCollect,
-		OnListed:  r.ck.noteListed,
-	})
-	endCollect()
-	if err != nil {
-		return r.stageFail(collectCtx, "collect", err)
-	}
-	r.ck.boundary("collect")
-	res.Records = crawl.Records
-	d := report.StageDegradation{
-		Retries:     retriesOf(a.listClient) - listRetries,
-		Quarantined: len(crawl.Quarantined),
-		BudgetLeft:  r.collectBudget.Remaining(),
-	}
-	if crawl.ListErr != nil {
-		res.StageErrors["collect"] = crawl.ListErr
-		d.Errors++
-	}
-	for _, q := range crawl.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "collect", BotID: q.BotID, Err: q.Err})
-	}
-	r.note(collectCtx, "collect", d)
-	res.PermDist = scraper.PermissionDistribution(res.Records)
-	res.Scraper = a.listClient.Stats()
-
-	traceCtx, endTrace := r.stage("traceability")
-	res.Table2, res.DataTypes = a.TraceabilityContext(traceCtx, res.Records)
-	endTrace()
-
-	codeCtx, endCode := r.stage("codeanalysis")
-	codeRetries := retriesOf(a.codeClient)
-	res.Code, res.Analyses, err = codeanalysis.AnalyzeOptionsContext(codeCtx, a.codeClient, res.Records, codeanalysis.AnalyzeOptions{
-		Workers: a.opts.Scrape.Workers,
-		Resume:  r.codeRes,
-		OnLink:  r.ck.noteLink,
-	})
-	endCode()
-	if err != nil {
-		return r.stageFail(codeCtx, "codeanalysis", err)
-	}
-	r.ck.boundary("codeanalysis")
-	d = report.StageDegradation{
-		Retries:     retriesOf(a.codeClient) - codeRetries,
-		Quarantined: len(res.Code.Quarantined),
-		BudgetLeft:  r.codeBudget.Remaining(),
-	}
-	for _, q := range res.Code.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "codeanalysis", BotID: q.BotID, Link: q.Link, Err: q.Err})
-	}
-	r.note(codeCtx, "codeanalysis", d)
-
-	hpCtx, endHoneypot := r.stage("honeypot")
-	res.Honeypot, err = honeypot.CampaignContext(hpCtx, a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes, r.ck.noteVerdict))
-	endHoneypot()
-	if err != nil {
-		return r.stageFail(hpCtx, "honeypot", err)
-	}
-	r.ck.boundary("honeypot")
-	d = report.StageDegradation{Quarantined: len(res.Honeypot.Quarantined), BudgetLeft: -1}
-	for _, q := range res.Honeypot.Quarantined {
-		res.Quarantined = append(res.Quarantined, QuarantinedBot{Stage: "honeypot", BotID: q.BotID, Name: q.Name, Err: q.Err})
-	}
-	r.note(hpCtx, "honeypot", d)
-	return nil
 }
 
 // Report renders every table and figure to w.
@@ -928,11 +786,9 @@ func (r *Results) Report(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\nScraper stats: %d requests, %d throttled, %d captchas solved, %d timeouts, %d retries, %d transient retries\n",
 		r.Scraper.Requests, r.Scraper.Throttled, r.Scraper.CaptchasSolved, r.Scraper.Timeouts, r.Scraper.Retries, r.Scraper.TransientRetries)
-	if r.Trace != nil {
-		fmt.Fprintln(w)
-		report.StageTimingsDegraded(w, r.Trace, r.Degradation)
-	}
 	if r.Scale != nil {
+		fmt.Fprintln(w)
+		report.StageTimingsDegraded(w, r.Scale.Stages, r.Degradation)
 		fmt.Fprintln(w)
 		r.Scale.Report(w)
 	}

@@ -24,9 +24,8 @@ func newSmallAuditor(t *testing.T, n int) *Auditor {
 		Seed:    11,
 		NumBots: n,
 		Honeypot: HoneypotOptions{
-			Sample:      20,
-			Concurrency: 8,
-			Settle:      400 * time.Millisecond,
+			Sample: 20,
+			Settle: 400 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -113,25 +112,6 @@ func TestReportRendersAllSections(t *testing.T) {
 	}
 }
 
-func TestStagesRunIndividually(t *testing.T) {
-	a := newSmallAuditor(t, 80)
-	records, err := a.CollectContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := a.TraceabilityContext(context.Background(), records)
-	if d.ActiveBots == 0 {
-		t.Error("traceability saw no active bots")
-	}
-	code, analyses, err := a.CodeAnalysisContext(context.Background(), records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code.WithLink != len(analyses) {
-		t.Errorf("analyses %d != links %d", len(analyses), code.WithLink)
-	}
-}
-
 func TestAuditorWithDefences(t *testing.T) {
 	a, err := NewAuditor(Options{
 		Seed:    13,
@@ -146,15 +126,17 @@ func TestAuditorWithDefences(t *testing.T) {
 			Sample: 5,
 			Settle: 300 * time.Millisecond,
 		},
+		Exec: ExecOptions{Strict: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	records, err := a.CollectContext(context.Background())
+	res, err := a.RunAllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	records := res.Records
 	stats := a.listClient.Stats()
 	if stats.CaptchasSolved == 0 {
 		t.Error("no captchas solved despite CaptchaEvery")
@@ -203,10 +185,11 @@ func TestVettingRejectsTheHoneypotConfirmedBot(t *testing.T) {
 
 func TestScrapedPermsMatchGroundTruth(t *testing.T) {
 	a := newSmallAuditor(t, 100)
-	records, err := a.CollectContext(context.Background())
+	res, err := a.RunAllContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	records := res.Records
 	truth := make(map[int]permissions.Permission)
 	for _, b := range a.Ecosystem().Bots {
 		if b.InviteHealth == listing.InviteOK {
@@ -229,9 +212,8 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		Seed:    11,
 		NumBots: 200,
 		Honeypot: HoneypotOptions{
-			Sample:      10,
-			Concurrency: 8,
-			Settle:      400 * time.Millisecond,
+			Sample: 10,
+			Settle: 400 * time.Millisecond,
 		},
 		Obs: reg,
 	})
@@ -245,22 +227,18 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The run is recorded as a trace with one named span per stage.
-	if res.Trace == nil {
-		t.Fatal("RunAllContext produced no trace")
+	// Every stage is timed by its gate.
+	if res.Scale == nil {
+		t.Fatal("RunAllContext produced no scale accounting")
 	}
-	sum := res.Trace.Summary()
 	names := make(map[string]bool)
-	for _, s := range sum.Spans {
-		names[s.Name] = true
+	for _, g := range res.Scale.Stages {
+		names[g.Stage] = g.Items > 0 && g.BusyMS > 0
 	}
 	for _, want := range []string{"collect", "traceability", "codeanalysis", "honeypot"} {
 		if !names[want] {
-			t.Errorf("trace missing stage span %q (have %v)", want, names)
+			t.Errorf("stage %q untimed or missing (have %v)", want, names)
 		}
-	}
-	if len(sum.Spans) < 4 {
-		t.Fatalf("trace has %d stage spans, want >= 4", len(sum.Spans))
 	}
 
 	// Instrumented services reported into the registry.
@@ -299,7 +277,7 @@ func TestObservabilityAcrossPipeline(t *testing.T) {
 		t.Error("/metrics renders scraper_requests_total as 0")
 	}
 
-	// Report renders the per-stage timing table from the trace.
+	// Report renders the per-stage timing table from the gates.
 	var buf bytes.Buffer
 	res.Report(&buf)
 	if out := buf.String(); !strings.Contains(out, "Stage timings") || !strings.Contains(out, "collect") {

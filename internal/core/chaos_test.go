@@ -23,9 +23,8 @@ func chaosAuditor(t *testing.T, inj *faults.Injector, bots, sample int) *Auditor
 		Seed:    7,
 		NumBots: bots,
 		Honeypot: HoneypotOptions{
-			Sample:      sample,
-			Concurrency: 4,
-			Settle:      300 * time.Millisecond,
+			Sample: sample,
+			Settle: 300 * time.Millisecond,
 		},
 		Faults: FaultOptions{Injector: inj},
 	})
@@ -160,9 +159,8 @@ func TestChaosSmoke(t *testing.T) {
 		Seed:    3,
 		NumBots: 40,
 		Honeypot: HoneypotOptions{
-			Sample:      4,
-			Concurrency: 4,
-			Settle:      200 * time.Millisecond,
+			Sample: 4,
+			Settle: 200 * time.Millisecond,
 		},
 		Faults: FaultOptions{Injector: inj},
 	})
@@ -242,9 +240,8 @@ func TestZeroFaultIdenticalResults(t *testing.T) {
 			Seed:    7,
 			NumBots: 80,
 			Honeypot: HoneypotOptions{
-				Sample:      8,
-				Concurrency: 4,
-				Settle:      700 * time.Millisecond,
+				Sample: 8,
+				Settle: 700 * time.Millisecond,
 			},
 			Faults: FaultOptions{Injector: inj},
 		})

@@ -187,21 +187,6 @@ func (c *ckptState) noteListed(ids []int) {
 	c.mu.Unlock()
 }
 
-// noteCollect records one freshly settled crawl outcome.
-func (c *ckptState) noteCollect(id int, rec *scraper.Record, qerr error) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if qerr != nil {
-		c.b.AddCollectQuarantine(checkpoint.QEntry{BotID: id, Err: qerr.Error()})
-	} else {
-		c.b.AddRecord(rec)
-	}
-	c.writeIfDueLocked("collect")
-	c.mu.Unlock()
-}
-
 // noteLink records one freshly settled unique code link.
 func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText string) {
 	if c == nil {
@@ -217,24 +202,9 @@ func (c *ckptState) noteLink(link string, ra *codeanalysis.RepoAnalysis, errText
 	c.mu.Unlock()
 }
 
-// noteVerdict records one freshly settled honeypot experiment.
-func (c *ckptState) noteVerdict(botID int, v *honeypot.Verdict, qerr error) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if qerr != nil {
-		c.b.AddHoneypotQuarantine(checkpoint.QEntry{BotID: botID, Err: qerr.Error()})
-	} else {
-		c.b.AddVerdict(v)
-	}
-	c.writeIfDueLocked("honeypot")
-	c.mu.Unlock()
-}
-
-// pendingOutcome is one settled per-bot outcome buffered by a sharded
-// worker between checkpoint flushes: either a collect outcome (Rec or
-// Qerr) or a honeypot outcome (V or Qerr), tagged by Stage.
+// pendingOutcome is one settled per-bot outcome buffered by an
+// executor worker between checkpoint flushes: either a collect outcome
+// (Rec or Qerr) or a honeypot outcome (V or Qerr), tagged by Stage.
 type pendingOutcome struct {
 	Stage string // "collect" or "honeypot"
 	BotID int
@@ -244,8 +214,8 @@ type pendingOutcome struct {
 }
 
 // noteBatch folds a worker's buffered outcomes into the snapshot under
-// one lock acquisition — the sharded executor settles bots from many
-// workers at once, and per-outcome locking plus per-outcome write
+// one lock acquisition — the executor settles bots from many workers
+// at once, and per-outcome locking plus per-outcome write
 // checks would serialize them on checkpoint state. The batch still
 // counts toward the periodic threshold, so durability lags by at most
 // one worker buffer.
@@ -335,21 +305,27 @@ func (c *ckptState) writeLocked(stage string) {
 }
 
 // watchdog arms a soft-deadline timer over a stage context: on expiry
-// it journals stage_stalled with a full goroutine dump, then cancels
-// the stage with ErrStageStalled as the cause. The returned stop must
-// be called when the stage ends.
-func watchdog(sctx context.Context, name string, deadline time.Duration, cancel context.CancelCauseFunc) func() {
+// it journals stage_stalled, naming the stage blame returns, with a full
+// goroutine dump, then cancels with ErrStageStalled as the cause.
+// Watchdogs sharing once fire at most once between them: the pipelined
+// stages share one window, and one stall needs one dump. The returned
+// stop must be called when the stage ends.
+func watchdog(sctx context.Context, deadline time.Duration, once *sync.Once, blame func() string, cancel context.CancelCauseFunc) func() {
 	t := time.AfterFunc(deadline, func() {
-		// The dump is the point: a stalled stage's goroutines say where
-		// it is stuck, and after cancellation that evidence is gone.
-		buf := make([]byte, 256<<10)
-		n := runtime.Stack(buf, true)
-		journal.Emit(sctx, "core", journal.KindStageStalled, map[string]any{
-			"stage":            name,
-			"deadline_seconds": deadline.Seconds(),
-			"goroutines":       string(buf[:n]),
+		once.Do(func() {
+			// The dump is the point: a stalled stage's goroutines say
+			// where it is stuck, and after cancellation that evidence is
+			// gone.
+			name := blame()
+			buf := make([]byte, 256<<10)
+			n := runtime.Stack(buf, true)
+			journal.Emit(sctx, "core", journal.KindStageStalled, map[string]any{
+				"stage":            name,
+				"deadline_seconds": deadline.Seconds(),
+				"goroutines":       string(buf[:n]),
+			})
+			cancel(fmt.Errorf("%w: stage %s after %s", ErrStageStalled, name, deadline))
 		})
-		cancel(fmt.Errorf("%w: stage %s after %s", ErrStageStalled, name, deadline))
 	})
 	return func() {
 		t.Stop()

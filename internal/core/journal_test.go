@@ -27,9 +27,8 @@ func TestRunAllEmitsCorrelatedJournal(t *testing.T) {
 		Seed:    23,
 		NumBots: 80,
 		Honeypot: HoneypotOptions{
-			Sample:      5,
-			Concurrency: 4,
-			Settle:      200 * time.Millisecond,
+			Sample: 5,
+			Settle: 200 * time.Millisecond,
 		},
 		Obs:     reg,
 		Journal: j,

@@ -34,9 +34,8 @@ func TestLedgeredJournalSurvivesKillResume(t *testing.T) {
 			Seed:    7,
 			NumBots: 60,
 			Honeypot: HoneypotOptions{
-				Sample:      6,
-				Concurrency: 4,
-				Settle:      300 * time.Millisecond,
+				Sample: 6,
+				Settle: 300 * time.Millisecond,
 			},
 			Obs: obs.NewRegistry(),
 		}

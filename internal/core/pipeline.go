@@ -1,17 +1,17 @@
-// The sharded work-stealing executor: bots are partitioned across N
-// shards and each worker carries one bot through
+// The pipeline executor: bots are partitioned across N shards and each
+// worker carries one bot through
 // collect → traceability → code analysis → honeypot before taking the
 // next, stealing from loaded shards once its own drains. Per-stage
 // concurrency is bounded by counting gates, so the listing server,
 // code host, and gateway each see tunable pressure regardless of how
-// many workers are in flight.
+// many workers are in flight; the gates also time each stage.
 //
-// Determinism: every per-bot outcome is computed by the same
-// stage-package primitives the sequential executor uses (Crawler,
-// Analyzer, CampaignRunner), per-experiment RNG feeds are derived from
-// stable identities, aggregates are commutative, and final assembly
-// walks canonical (listing/sample) order — so a fault-free sharded run
-// is byte-equivalent to a sequential run on the same seed.
+// Determinism: every per-bot outcome is computed by the stage
+// packages' per-bot primitives (Crawler, Analyzer, CampaignRunner),
+// per-experiment RNG feeds are derived from stable identities,
+// aggregates are commutative, and final assembly walks canonical
+// (listing/sample) order — so a fault-free run's outputs are the same
+// at every shard count (testdata/golden pins them).
 package core
 
 import (
@@ -25,7 +25,6 @@ import (
 	"repro/internal/codeanalysis"
 	"repro/internal/core/sched"
 	"repro/internal/honeypot"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	bottrace "repro/internal/obs/trace"
 	"repro/internal/report"
@@ -33,8 +32,8 @@ import (
 	"repro/internal/traceability"
 )
 
-// ScaleStats is the sharded executor's scheduler and throughput
-// accounting — the payload of BENCH_SCALE.json.
+// ScaleStats is the executor's scheduler and throughput accounting —
+// the payload of BENCH_SCALE.json.
 type ScaleStats struct {
 	Bots    int   `json:"bots"`   // listed bots (collect items)
 	Sample  int   `json:"sample"` // honeypot sample size
@@ -78,16 +77,11 @@ type workItem struct {
 	sampleIdx int
 }
 
-// shardStage is one pipeline stage's shared envelope under the sharded
-// executor: its (concurrent) trace span, its watchdog-armed context,
-// and its concurrency gate.
+// shardStage is one pipeline stage's shared envelope: its
+// watchdog-armed context and its concurrency gate.
 type shardStage struct {
-	name   string
-	span   *obs.Span
-	ctx    context.Context
-	gate   *sched.Gate
-	stop   func()
-	endRun func() // closes the stage's run-level trace span
+	ctx  context.Context
+	gate *sched.Gate
 }
 
 func shardImbalance(executed []int64) float64 {
@@ -129,52 +123,33 @@ func (a *Auditor) runSharded(r *run) error {
 	defer cancel(nil)
 
 	// All four stage envelopes open for the whole phase: the stages
-	// interleave over one wall-clock window, which is why their spans
-	// are marked concurrent and their soft deadlines each cover the
-	// full window.
-	mkStage := func(name string, limit int) *shardStage {
-		sp := r.trace.StartSpan(name)
-		sp.MarkConcurrent()
-		sctx := obs.ContextWithSpan(pctx, sp)
-		sctx = bottrace.ContextWithStage(sctx, r.tracer, name)
-		stop := func() {}
-		if dl := a.opts.Exec.StageSoftDeadline; dl > 0 {
-			stop = watchdog(sctx, name, dl, cancel)
-		}
-		journal.Emit(sctx, "core", journal.KindStageStarted, map[string]any{
-			"stage": name, "concurrent": true,
-		})
-		return &shardStage{
-			name: name, span: sp, ctx: sctx, gate: sched.NewGate(name, limit),
-			stop: stop, endRun: r.tracer.StartRunSpan(name),
-		}
+	// interleave over one wall-clock window, so their soft deadlines
+	// each cover the full window.
+	r.gates = []*sched.Gate{
+		sched.NewGate("collect", sw.Collect),
+		sched.NewGate("traceability", workers),
+		sched.NewGate("codeanalysis", sw.Code),
+		sched.NewGate("honeypot", sw.Honeypot),
 	}
-	stCollect := mkStage("collect", sw.Collect)
-	stTrace := mkStage("traceability", workers)
-	stCode := mkStage("codeanalysis", sw.Code)
-	stHp := mkStage("honeypot", sw.Honeypot)
-	stages := []*shardStage{stCollect, stTrace, stCode, stHp}
+	stages := make([]*shardStage, len(r.gates))
+	ends := make([]func(), len(r.gates))
+	for i, g := range r.gates {
+		var sctx context.Context
+		sctx, ends[i] = r.stage(pctx, cancel, g.Name(), g)
+		stages[i] = &shardStage{ctx: sctx, gate: g}
+	}
+	stCollect, stTrace, stCode, stHp := stages[0], stages[1], stages[2], stages[3]
 	var cleanupOnce sync.Once
 	cleanup := func() {
 		cleanupOnce.Do(func() {
-			for _, st := range stages {
-				st.stop()
-				st.endRun()
-				st.span.End()
-				gs := st.gate.Stats()
-				journal.Emit(st.ctx, "core", journal.KindStageCompleted, map[string]any{
-					"stage":      st.name,
-					"concurrent": true,
-					"seconds":    st.span.Duration().Seconds(),
-					"items":      gs.Items,
-				})
+			for _, end := range ends {
+				end()
 			}
 		})
 	}
 	defer cleanup()
 
-	// failWith translates a fatal error exactly as the sequential
-	// executor's stageFail does: watchdog stalls surface as
+	// failWith translates a fatal error: watchdog stalls surface as
 	// ErrStageStalled, cancellation as the context's error.
 	failWith := func(stage string, err error) error {
 		cleanup()
@@ -211,15 +186,14 @@ func (a *Auditor) runSharded(r *run) error {
 		OnLink: r.ck.noteLink,
 	})
 
-	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes, nil))
+	camp := honeypot.NewCampaignRunner(a.honeypotEnv(), a.eco, a.campaignConfig(r.hpRes))
 	if err := camp.ApplyResume(stHp.ctx); err != nil {
 		return failWith("honeypot", err)
 	}
 
 	// The work plan: one item per listed bot, plus one per sampled bot
 	// the (possibly partial) listing missed, so a truncated pagination
-	// never silently drops honeypot experiments the sequential path
-	// would have run.
+	// never silently drops a sampled bot's honeypot experiment.
 	items := make([]workItem, 0, len(ids))
 	byBot := make(map[int]int, len(ids))
 	for i, id := range ids {
@@ -380,8 +354,7 @@ func (a *Auditor) runSharded(r *run) error {
 
 	// ---- canonical-order assembly ----
 
-	// Collect: records and the quarantine ledger in listing order,
-	// exactly as CrawlResultContext assembles them.
+	// Collect: records and the quarantine ledger in listing order.
 	for i := range ids {
 		switch {
 		case records[i] != nil:
@@ -409,7 +382,7 @@ func (a *Auditor) runSharded(r *run) error {
 	res.Table2, res.DataTypes = t2, dt
 
 	// Code analysis: fold per-bot slots in listing order through the
-	// same NoteBot/Add path the batch assembly uses.
+	// result's NoteBot/Add tallies.
 	cres := codeanalysis.NewResult()
 	analyses := make([]*codeanalysis.RepoAnalysis, 0, len(ids))
 	for i := range ids {
@@ -468,9 +441,9 @@ func (a *Auditor) runSharded(r *run) error {
 		StolenPerShard:   stats.Stolen,
 		PerWorker:        stats.PerWorker,
 		ShardImbalance:   shardImbalance(stats.Executed),
-		Stages: []sched.GateStats{
-			stCollect.gate.Stats(), stTrace.gate.Stats(), stCode.gate.Stats(), stHp.gate.Stats(),
-		},
+	}
+	for _, g := range r.gates {
+		res.Scale.Stages = append(res.Scale.Stages, g.Stats())
 	}
 	return nil
 }

@@ -48,9 +48,8 @@ func TestKillResumeConvergesToBaseline(t *testing.T) {
 			Seed:    seed,
 			NumBots: bots,
 			Honeypot: HoneypotOptions{
-				Sample:      sample,
-				Concurrency: 4,
-				Settle:      300 * time.Millisecond,
+				Sample: sample,
+				Settle: 300 * time.Millisecond,
 			},
 			Obs: obs.NewRegistry(),
 		}
@@ -271,11 +270,10 @@ func TestBreakerFailFastDeterministic(t *testing.T) {
 			Seed:    7,
 			NumBots: 120,
 			Honeypot: HoneypotOptions{
-				Sample:      4,
-				Concurrency: 4,
-				Settle:      200 * time.Millisecond,
+				Sample: 4,
+				Settle: 200 * time.Millisecond,
 			},
-			Scrape:   ScrapeOptions{Workers: 1}, // sequential crawl: deterministic breaker history
+			Exec:     ExecOptions{Shards: 1}, // one bot at a time: deterministic breaker history
 			Faults:   FaultOptions{Injector: inj},
 			Breakers: BreakerOptions{Set: bs},
 			Obs:      obs.NewRegistry(),
@@ -404,9 +402,8 @@ func TestStageBudgetSurfaced(t *testing.T) {
 		Seed:    7,
 		NumBots: 40,
 		Honeypot: HoneypotOptions{
-			Sample:      3,
-			Concurrency: 4,
-			Settle:      200 * time.Millisecond,
+			Sample: 3,
+			Settle: 200 * time.Millisecond,
 		},
 		Exec: ExecOptions{StageRetryBudget: 50},
 		Obs:  obs.NewRegistry(),

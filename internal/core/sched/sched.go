@@ -300,6 +300,16 @@ func NewGate(name string, limit int) *Gate {
 // Limit reports the gate's admission bound.
 func (g *Gate) Limit() int { return g.limit }
 
+// Name reports the stage the gate bounds.
+func (g *Gate) Name() string { return g.name }
+
+// Inflight reports how many holders occupy the gate right now.
+func (g *Gate) Inflight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.inflight
+}
+
 // Acquire blocks until a slot frees or ctx is cancelled, returning the
 // release func for the slot. Release is idempotent.
 func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {

@@ -1,6 +1,5 @@
-// Tests for the per-bot tracing layer under both executors: span
-// coverage per stage, export well-formedness, and the profile
-// artifact.
+// Tests for the per-bot tracing layer: span coverage per stage, export
+// well-formedness, and the profile artifact.
 package core
 
 import (
@@ -17,9 +16,8 @@ func tracedOpts(shards int, level bottrace.Level) Options {
 		Seed:    11,
 		NumBots: 60,
 		Honeypot: HoneypotOptions{
-			Sample:      6,
-			Concurrency: 4,
-			Settle:      300 * time.Millisecond,
+			Sample: 6,
+			Settle: 300 * time.Millisecond,
 		},
 		Exec:  ExecOptions{Shards: shards},
 		Trace: TraceOptions{Level: level},
@@ -127,8 +125,10 @@ func TestShardedRunRecordsBotSpans(t *testing.T) {
 	}
 }
 
+// TestSequentialRunTracesAtBotLevel: a one-shard run (one worker, bots
+// in listing order) traced at level bots records stage spans only.
 func TestSequentialRunTracesAtBotLevel(t *testing.T) {
-	a, err := NewAuditor(tracedOpts(0, bottrace.LevelBots))
+	a, err := NewAuditor(tracedOpts(1, bottrace.LevelBots))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSequentialRunTracesAtBotLevel(t *testing.T) {
 		}
 	}
 	if stages == 0 {
-		t.Fatal("sequential executor recorded no bot-stage spans")
+		t.Fatal("one-shard run recorded no bot-stage spans")
 	}
 	if subops != 0 {
 		t.Fatalf("level bots recorded %d sub-operations, want 0", subops)
@@ -159,7 +159,7 @@ func TestSequentialRunTracesAtBotLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := bottrace.ValidateChromeTrace(chrome.Bytes()); err != nil {
-		t.Fatalf("sequential chrome trace invalid: %v", err)
+		t.Fatalf("one-shard chrome trace invalid: %v", err)
 	}
 }
 

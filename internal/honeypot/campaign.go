@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/canary"
 	"repro/internal/corpus"
@@ -20,30 +19,24 @@ import (
 type CampaignConfig struct {
 	// SampleSize is how many most-voted bots to test (paper: 500).
 	SampleSize int
-	// Concurrency bounds simultaneous experiments.
-	Concurrency int
 	// Experiment is the per-bot configuration.
 	Experiment Config
-	// Strict restores the pre-quarantine behavior: the first failed
-	// experiment aborts the campaign and discards every completed
-	// verdict. Default (false) quarantines the failing bot and keeps
-	// the rest of the campaign's work.
+	// Strict restores the pre-quarantine behavior: a failed experiment
+	// is a fatal RunBot error, on which the caller aborts the campaign.
+	// Default (false) quarantines the failing bot and keeps the rest of
+	// the campaign's work.
 	//
-	// Strict interacts with Resume deliberately: the resume pass is
-	// applied across the WHOLE sample before any fresh experiment
-	// launches, so a Strict campaign resumed over a checkpoint that
-	// recorded a quarantine fails fast — settled verdicts are replayed,
-	// nothing is re-run, and no new guild is ever created.
+	// Strict interacts with Resume deliberately: ApplyResume runs over
+	// the WHOLE sample before any fresh experiment launches, so a
+	// Strict campaign resumed over a checkpoint that recorded a
+	// quarantine fails fast — settled verdicts are replayed, nothing is
+	// re-run, and no new guild is ever created.
 	Strict bool
 	// Resume, when set, replays settled experiment outcomes from a
 	// checkpoint: settled bots are skipped idempotently (journaled as
 	// work_skipped) with their prior verdict or quarantine copied into
 	// the result.
 	Resume *CampaignResume
-	// OnSettled observes each freshly settled bot — the checkpointer's
-	// feed. v is nil when the experiment was quarantined (qerr set).
-	// Not called for resumed skips. May be called concurrently.
-	OnSettled func(botID int, v *Verdict, qerr error)
 }
 
 // CampaignResume carries a checkpoint's settled experiment outcomes
@@ -151,11 +144,12 @@ func RunnerForBehavior(b synth.Behavior) BotRunner {
 	}
 }
 
-// CampaignRunner is the campaign's per-bot form for caller-scheduled
-// executors: the sharded pipeline applies the resume pass, then drives
-// RunBot for each sample index under its own scheduling, and assembles
-// the result with Result. CampaignContext is a thin worker pool over
-// the same machinery, so both executors settle bots identically.
+// CampaignRunner runs isolated experiments over the most-voted sample
+// of an ecosystem, mirroring the paper's 500-bot study, in per-bot
+// form: the caller applies the resume pass, drives RunBot for each
+// sample index under its own scheduling (and cancellation), and
+// assembles the result with Result. A failed experiment quarantines its
+// bot — counted, journaled, skipped — unless cfg.Strict is set.
 type CampaignRunner struct {
 	env Env
 	eco *synth.Ecosystem
@@ -169,14 +163,11 @@ type CampaignRunner struct {
 }
 
 // NewCampaignRunner selects the sample and prepares per-bot slots.
-// cfg's sample-size and concurrency defaults are applied here, before
-// the sample selection and feed derivation that depend on them.
+// cfg's sample-size default is applied here, before the sample
+// selection and feed derivation that depend on it.
 func NewCampaignRunner(env Env, eco *synth.Ecosystem, cfg CampaignConfig) *CampaignRunner {
 	if cfg.SampleSize <= 0 {
 		cfg.SampleSize = 500
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
 	}
 	sample := SelectMostVoted(eco.Bots, cfg.SampleSize)
 	return &CampaignRunner{
@@ -236,7 +227,8 @@ func (cr *CampaignRunner) ApplyResume(ctx context.Context) error {
 
 // RunBot runs the fresh experiment for sample index i (a no-op for
 // resume-settled indexes), records the outcome in the runner's slots,
-// and returns it for checkpoint batching. The returned error is fatal:
+// and returns it for checkpoint batching. Calls for distinct indexes
+// may run concurrently. The returned error is fatal:
 // context cancellation, or any failure under cfg.Strict.
 func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr error, err error) {
 	if cr.settled[i] {
@@ -252,17 +244,15 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 	}
 	// Each experiment gets its own derived feed so concurrent guilds
 	// neither interleave one RNG stream nor lose per-experiment
-	// determinism — the same property makes verdicts independent of
-	// which executor (sequential or sharded) scheduled the experiment.
+	// determinism — the same property makes verdicts independent of how
+	// the executor scheduled the experiment.
 	expEnv := cr.env
 	expEnv.Feed = corpus.Derive(int64(cr.cfg.SampleSize), int64(b.ID))
-	expCtx, span := obs.StartChild(ctx, "experiment-"+b.Name)
-	expCtx = journal.WithBot(expCtx, b.ID, b.Name)
+	expCtx := journal.WithBot(ctx, b.ID, b.Name)
 	expCtx = trace.WithBot(expCtx, b.ID, b.Name)
 	endStage := trace.StartStage(expCtx)
 	verdict, rerr := RunContext(expCtx, expEnv, cr.cfg.Experiment, sub)
 	endStage()
-	span.End()
 	if rerr != nil {
 		switch {
 		case errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded):
@@ -275,15 +265,9 @@ func (cr *CampaignRunner) RunBot(ctx context.Context, i int) (v *Verdict, qerr e
 		journal.Emit(expCtx, "honeypot", journal.KindBotQuarantined, map[string]any{
 			"error": rerr.Error(),
 		})
-		if cr.cfg.OnSettled != nil {
-			cr.cfg.OnSettled(b.ID, nil, rerr)
-		}
 		return nil, rerr, nil
 	}
 	cr.verdicts[i] = verdict
-	if cr.cfg.OnSettled != nil {
-		cr.cfg.OnSettled(b.ID, verdict, nil)
-	}
 	return verdict, nil, nil
 }
 
@@ -312,65 +296,6 @@ func (cr *CampaignRunner) Result() *CampaignResult {
 		}
 	}
 	return res
-}
-
-// CampaignContext runs isolated experiments over the most-voted sample
-// of an ecosystem with cancellation, mirroring the paper's 500-bot
-// study: no new experiments launch after ctx is done, and in-flight
-// experiments abort at their next wait point. Each experiment runs
-// under its own child span of any span carried by ctx.
-//
-// By default a failed experiment quarantines its bot — counted,
-// journaled, skipped — and every completed verdict is kept; set
-// cfg.Strict to restore the historical first-error-discards-everything
-// behavior. Context cancellation always ends the campaign, but the
-// verdicts completed before the cut are returned alongside the error.
-func CampaignContext(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig) (*CampaignResult, error) {
-	cr := NewCampaignRunner(env, eco, cfg)
-	if err := cr.ApplyResume(ctx); err != nil {
-		return nil, err
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cr.cfg.Concurrency)
-	var firstErr error
-	var mu sync.Mutex
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for i := range cr.sample {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		if cr.settled[i] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, _, err := cr.RunBot(ctx, i); err != nil {
-				fail(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	res := cr.Result()
-	if firstErr != nil {
-		if cfg.Strict {
-			return nil, firstErr
-		}
-		// Cancellation (the only lenient-mode firstErr): hand back the
-		// work that did complete alongside the error.
-		return res, firstErr
-	}
-	return res, nil
 }
 
 // KindsTriggered summarizes which token kinds fired across a campaign.

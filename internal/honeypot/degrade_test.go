@@ -44,13 +44,13 @@ func TestCampaignQuarantinesFailedExperiment(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
 
 	cfg := CampaignConfig{
-		SampleSize:  5,
-		Concurrency: 1, // sequential, so exactly the first sampled bot fails
-		Experiment:  testCfg(),
+		SampleSize: 5,
+		Experiment: testCfg(),
 	}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	// One experiment at a time, so exactly the first sampled bot fails.
+	res, err := runCampaign(context.Background(), env, eco, cfg, 1, nil)
 	if err != nil {
 		t.Fatalf("lenient campaign errored: %v", err)
 	}
@@ -82,14 +82,13 @@ func TestCampaignStrictModeAborts(t *testing.T) {
 	eco := synth.Generate(synth.Config{Seed: 7, NumBots: 30})
 
 	cfg := CampaignConfig{
-		SampleSize:  5,
-		Concurrency: 1,
-		Experiment:  testCfg(),
-		Strict:      true,
+		SampleSize: 5,
+		Experiment: testCfg(),
+		Strict:     true,
 	}
 	cfg.Experiment.Solver = &flakySolver{failN: 1}
 
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	res, err := runCampaign(context.Background(), env, eco, cfg, 1, nil)
 	if err == nil {
 		t.Fatal("strict campaign should abort on the failed experiment")
 	}

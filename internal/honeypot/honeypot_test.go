@@ -3,6 +3,7 @@ package honeypot
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,6 +41,49 @@ func newEnv(t *testing.T) Env {
 		Minter:   svc.NewMinter("canary.test", canary.SequentialIDs("hp")),
 		Feed:     corpus.New(1234),
 	}
+}
+
+// runCampaign drives a CampaignRunner over its whole sample with up to
+// workers experiments in flight, as a pipeline executor does: resume
+// pass first, then RunBot per sample index, stopping new launches after
+// the first fatal error. onSettled, when set, sees each freshly settled
+// bot. A fatal error (strict failure or cancellation) returns no result.
+func runCampaign(ctx context.Context, env Env, eco *synth.Ecosystem, cfg CampaignConfig, workers int, onSettled func(botID int, v *Verdict, qerr error)) (*CampaignResult, error) {
+	cr := NewCampaignRunner(env, eco, cfg)
+	if err := cr.ApplyResume(ctx); err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, b := range cr.Sample() {
+		if cr.Settled(i) {
+			continue
+		}
+		sem <- struct{}{}
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			v, qerr, err := cr.RunBot(ctx, i)
+			if err != nil {
+				cancel(err)
+				return
+			}
+			if onSettled != nil {
+				onSettled(b.ID, v, qerr)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+	return cr.Result(), nil
 }
 
 func testCfg() Config {
@@ -190,12 +234,11 @@ func TestCampaignFindsTheOneMaliciousBot(t *testing.T) {
 	env := newEnv(t)
 	eco := synth.Generate(synth.Config{Seed: 77, NumBots: 300})
 	cfg := CampaignConfig{
-		SampleSize:  40,
-		Concurrency: 8,
-		Experiment:  testCfg(),
+		SampleSize: 40,
+		Experiment: testCfg(),
 	}
 	cfg.Experiment.Settle = 400 * time.Millisecond
-	res, err := CampaignContext(context.Background(), env, eco, cfg)
+	res, err := runCampaign(context.Background(), env, eco, cfg, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	wgTraffic.Wait()
 	elapsed := time.Since(start)
 	// Let queued dispatches drain before the final count.
-	time.Sleep(300 * time.Millisecond)
+	drain(ctx, &delivered, reg, cfg.Logf)
 
 	for _, rc := range fleet {
 		if sess := rc.Session(); sess != nil {
@@ -366,6 +366,45 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.FaultsInjected = reg.Counter("faults_injected_total").Value()
 	}
 	return res, nil
+}
+
+// Drain pacing: poll every drainPoll, stop after drainQuiet polls with
+// no counter moving, and never wait past drainCeiling.
+const (
+	drainPoll    = 10 * time.Millisecond
+	drainQuiet   = 5
+	drainCeiling = 2 * time.Second
+)
+
+// drain waits for queued dispatches to land after the traffic window
+// closes. It polls the client-side delivered count and the gateway's
+// events-out and events-dropped counters, and returns once none has
+// moved for drainQuiet consecutive polls, once ctx ends, or at
+// drainCeiling — logged, since the final counts may then still be
+// moving.
+func drain(ctx context.Context, delivered *atomic.Int64, reg *obs.Registry, logf func(string, ...any)) {
+	out, dropped := reg.Counter("gateway_events_out_total"), reg.Counter("gateway_events_dropped_total")
+	sample := func() [3]int64 { return [3]int64{delivered.Load(), out.Value(), dropped.Value()} }
+	tick := time.NewTicker(drainPoll)
+	defer tick.Stop()
+	ceiling := time.NewTimer(drainCeiling)
+	defer ceiling.Stop()
+	last, quiet := sample(), 0
+	for quiet < drainQuiet {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ceiling.C:
+			logf("loadgen: counters still moving after the %v drain ceiling", drainCeiling)
+			return
+		case <-tick.C:
+		}
+		if cur := sample(); cur == last {
+			quiet++
+		} else {
+			last, quiet = cur, 0
+		}
+	}
 }
 
 // world is the synthetic ecosystem one run plays out in.

@@ -2,8 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 
 	"repro/internal/gateway"
 )
@@ -86,5 +90,64 @@ func TestRunShedsAboveCap(t *testing.T) {
 	}
 	if res.Delivered == 0 {
 		t.Fatal("admitted sessions received no events")
+	}
+}
+
+// drainRun runs drain against a delivered counter that a feeder bumps
+// every millisecond until stopFeed closes, and reports how long drain
+// took and what it logged.
+func drainRun(ctx context.Context, stopFeed <-chan struct{}) (time.Duration, string) {
+	var delivered atomic.Int64
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopFeed:
+				return
+			case <-tick.C:
+				delivered.Add(1)
+			}
+		}
+	}()
+	var logged strings.Builder
+	start := time.Now()
+	drain(ctx, &delivered, obs.NewRegistry(), func(format string, args ...any) {
+		logged.WriteString(format)
+	})
+	return time.Since(start), logged.String()
+}
+
+// TestDrainReturnsOnceQuiet: drain returns a few polls after the
+// counters stop moving, far short of its ceiling.
+func TestDrainReturnsOnceQuiet(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	took, logged := drainRun(context.Background(), stop)
+	if took >= drainCeiling/2 || logged != "" {
+		t.Fatalf("quiet drain took %v (logged %q), want a few %v polls", took, logged, drainPoll)
+	}
+
+	stop = make(chan struct{})
+	time.AfterFunc(150*time.Millisecond, func() { close(stop) })
+	took, logged = drainRun(context.Background(), stop)
+	if took < 150*time.Millisecond || took >= drainCeiling || logged != "" {
+		t.Fatalf("drain took %v (logged %q), want it to outlast 150ms of deliveries and stop short of the ceiling", took, logged)
+	}
+}
+
+// TestDrainHonoursCancellationAndCeiling: a drain whose counters never
+// settle ends when ctx does, or else at the ceiling with a log line.
+func TestDrainHonoursCancellationAndCeiling(t *testing.T) {
+	stop := make(chan struct{})
+	defer close(stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if took, logged := drainRun(ctx, stop); took >= drainCeiling/2 || logged != "" {
+		t.Fatalf("cancelled drain took %v (logged %q), want it to end with ctx", took, logged)
+	}
+	took, logged := drainRun(context.Background(), stop)
+	if took < drainCeiling || logged == "" {
+		t.Fatalf("busy drain took %v (logged %q), want the %v ceiling and a log line", took, logged, drainCeiling)
 	}
 }

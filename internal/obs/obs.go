@@ -1,15 +1,14 @@
 // Package obs is the pipeline's observability substrate: a
 // dependency-free registry of atomic counters, gauges, and log-bucketed
-// latency histograms, plus hierarchical stage spans (traces) that
-// record where wall-clock time goes across the crawl → traceability →
-// code analysis → honeypot pipeline.
+// latency histograms. Per-bot and per-stage spans live in the obs/trace
+// subpackage.
 //
 // Every instrumented component accepts an optional *Registry and falls
 // back to the process-wide Default() registry when given nil, so a
 // single binary can expose one coherent /metrics endpoint while tests
 // isolate themselves with private registries. The registry renders both
 // a Prometheus-style text exposition (WriteProm, Handler) and a
-// structured JSON snapshot including traces (WriteJSON).
+// structured JSON snapshot (WriteJSON).
 package obs
 
 import (
@@ -18,14 +17,13 @@ import (
 	"sync/atomic"
 )
 
-// Registry names and owns a set of metrics and traces. The zero value
+// Registry names and owns a set of metrics. The zero value
 // is not usable; call NewRegistry (or use Default).
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	traces   []*Trace
 }
 
 // NewRegistry returns an empty registry.
@@ -104,31 +102,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// RegisterTrace attaches a trace to the registry so WriteJSON includes
-// it. Duplicate registrations are ignored.
-func (r *Registry) RegisterTrace(t *Trace) {
-	if t == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, have := range r.traces {
-		if have == t {
-			return
-		}
-	}
-	r.traces = append(r.traces, t)
-}
-
-// Traces returns the registered traces in registration order.
-func (r *Registry) Traces() []*Trace {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Trace, len(r.traces))
-	copy(out, r.traces)
-	return out
 }
 
 // sortedNames returns map keys sorted, for deterministic exposition.

@@ -105,10 +105,10 @@ func chromeTID(shard int32) int {
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
 // laneTID spreads one shard across extra tracks when its slices
-// overlap: lane 0 is the shard's own track. Sharded runs (one worker
-// per buffer) always stay in lane 0; the sequential executor, which
-// hashes concurrent bots into buffers, spills collisions into lanes so
-// the export still nests strictly.
+// overlap: lane 0 is the shard's own track. Executor workers (one per
+// buffer) always stay in lane 0; bot ops recorded without a worker
+// identity are hashed into buffers, and their collisions spill into
+// lanes so the export still nests strictly.
 func laneTID(baseTID, lane int) int { return baseTID*64 + lane }
 
 // assignLanes places one track's duration slices (sorted by start,
@@ -203,7 +203,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 
 	// Track naming metadata: the run track, then each shard (and any
-	// spill lanes the sequential executor's hashing needed).
+	// spill lanes hashed bot ops needed).
 	meta := []chromeEvent{{
 		Name: "process_name", Phase: "M", PID: chromePID, TID: laneTID(0, 0),
 		Args: map[string]any{"name": "botscan pipeline " + t.RunID()},

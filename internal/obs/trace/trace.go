@@ -4,15 +4,14 @@
 // settle, codehost fetch), correlated with the run/bot/experiment IDs
 // the journal carries.
 //
-// Where the obs stage-span tree serializes every span operation through
-// one trace-wide mutex — fine for four stage spans, ruinous for 20,915
-// bots — this package collects completed operations into per-shard
-// append-only buffers, sharded by the scheduler worker that produced
-// them. A worker only ever touches its own shard's mutex, so the
-// collection path is contention-free at full paper scale and bot-level
-// tracing costs low single-digit percent (see BENCH_TRACE.json). The
-// obs tree stays as the thin run-level view; everything per-bot lands
-// here.
+// It is the pipeline's only span system. Rather than serialize every
+// span operation through one trace-wide mutex — ruinous for 20,915
+// bots — it collects completed operations into per-shard append-only
+// buffers, sharded by the scheduler worker that produced them. A worker
+// only ever touches its own shard's mutex, so the collection path is
+// contention-free at full paper scale and bot-level tracing costs low
+// single-digit percent (see BENCH_TRACE.json). Run-level stage spans
+// land on a control track.
 //
 // Ops are recorded only when they finish, which keeps the hot path to
 // one buffered append and makes the buffers naturally crash-truncated:
@@ -198,16 +197,16 @@ func (t *Tracer) Shards() int {
 // sinceNS is the op clock: nanoseconds since the tracer started.
 func (t *Tracer) sinceNS() int64 { return t.now().Sub(t.start).Nanoseconds() }
 
-// bufFor maps a shard (possibly ControlShard, possibly a sequential
-// executor's hash input) onto a buffer index.
+// bufFor maps a shard (possibly ControlShard, possibly a hash input
+// for a bot op recorded outside any worker) onto a buffer index.
 func (t *Tracer) bufFor(shard int32, botID int32) *shardBuf {
 	n := len(t.bufs) - 1
 	switch {
 	case shard >= 0 && int(shard) < n:
 		return &t.bufs[shard]
 	case shard == ControlShard && botID != 0:
-		// No worker identity (the sequential executor): spread bots
-		// across the buffers by ID so collection still shards.
+		// No worker identity: spread bots across the buffers by ID so
+		// collection still shards.
 		idx := int(botID) % n
 		if idx < 0 {
 			idx = -idx
@@ -268,7 +267,7 @@ func (t *Tracer) Sample(shard int, stage, name string, value int64) {
 }
 
 // StartRunSpan opens a run-level stage span on the control track and
-// returns its closer — the Perfetto mirror of the obs stage-span tree.
+// returns its closer.
 func (t *Tracer) StartRunSpan(stage string) func() {
 	if t == nil || t.level < LevelBots {
 		return noop

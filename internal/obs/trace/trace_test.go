@@ -173,8 +173,8 @@ func TestConcurrentHammer(t *testing.T) {
 
 func TestSequentialHashingShardsCollection(t *testing.T) {
 	tr := newFakeTracer(4, LevelBots)
-	// No WithWorker: the sequential executor records at ControlShard
-	// with a bot ID, which must hash onto a worker buffer.
+	// No WithWorker: a bot op recorded outside any worker lands at
+	// ControlShard with a bot ID, which must hash onto a worker buffer.
 	ctx := ContextWithStage(context.Background(), tr, "collect")
 	StartStage(WithBot(ctx, 6, "bot-6"))()
 	ops := tr.Ops()
@@ -192,8 +192,8 @@ func TestSequentialHashingShardsCollection(t *testing.T) {
 
 func TestChromeTraceLanesSplitOverlaps(t *testing.T) {
 	tr := newFakeTracer(1, LevelBots)
-	// Two bots overlapping on the same buffer (sequential executor
-	// hash collision): lanes must keep the export valid.
+	// Two bots overlapping on the same buffer (a hash collision):
+	// lanes must keep the export valid.
 	ctxA := WithBot(ContextWithStage(context.Background(), tr, "collect"), 1, "a")
 	ctxB := WithBot(ContextWithStage(context.Background(), tr, "collect"), 2, "b")
 	endA := StartStage(ctxA)

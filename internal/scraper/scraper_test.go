@@ -3,6 +3,7 @@ package scraper
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,11 +12,61 @@ import (
 	"repro/internal/synth"
 )
 
-// crawlStrict preserves the deleted Crawl wrapper's contract for these
-// tests: background context, first failed bot aborts the crawl.
-func crawlStrict(c *Client, cfg Config) ([]*Record, error) {
-	cfg.Strict = true
-	res, err := CrawlResultContext(context.Background(), c, cfg)
+// quarantined is one bot a crawl set aside, with the error that did it.
+type quarantined struct {
+	BotID int
+	Err   error
+}
+
+// crawlResult is a whole-listing crawl's outcome in listing order.
+type crawlResult struct {
+	Records     []*Record
+	Quarantined []quarantined
+	ListErr     error
+}
+
+// crawl drives a Crawler over the whole listing with up to workers bots
+// in flight, as a pipeline executor does, and assembles the outcomes in
+// listing order. Any fatal Settle error fails the crawl.
+func crawl(ctx context.Context, c *Client, cfg Config, workers int) (*crawlResult, error) {
+	cr := NewCrawler(c, cfg)
+	ids, listErr, err := cr.List(ctx)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]SettledBot, len(ids))
+	errs := make([]error, len(ids))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			outs[i], errs[i] = cr.Settle(ctx, id)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	res := &crawlResult{ListErr: listErr}
+	for i, out := range outs {
+		switch {
+		case out.Rec != nil:
+			res.Records = append(res.Records, out.Rec)
+		case out.Quarantine != nil:
+			res.Quarantined = append(res.Quarantined, quarantined{BotID: ids[i], Err: out.Quarantine})
+		}
+	}
+	return res, nil
+}
+
+// crawlStrict is a strict crawl on a background context: the first
+// failed bot fails the crawl.
+func crawlStrict(c *Client, workers int) ([]*Record, error) {
+	res, err := crawl(context.Background(), c, Config{Strict: true}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -195,12 +246,12 @@ func TestPolicyScraping(t *testing.T) {
 func TestFlakyDetailRetries(t *testing.T) {
 	srv, eco := startSite(t, 80, listing.AntiScrape{FlakyEvery: 2})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	recs, err := crawlStrict(c, Config{Workers: 4, Retries: 2})
+	recs, err := crawl(context.Background(), c, Config{Strict: true, Retries: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(eco.Bots) {
-		t.Fatalf("crawled %d, want %d", len(recs), len(eco.Bots))
+	if len(recs.Records) != len(eco.Bots) {
+		t.Fatalf("crawled %d, want %d", len(recs.Records), len(eco.Bots))
 	}
 	if c.Stats().Retries == 0 {
 		t.Error("expected retries against a flaky site")
@@ -213,7 +264,7 @@ func TestFlakyDetailRetries(t *testing.T) {
 			continue
 		}
 		var rec *Record
-		for _, r := range recs {
+		for _, r := range recs.Records {
 			if r.ID == b.ID {
 				rec = r
 			}
@@ -228,7 +279,7 @@ func TestCaptchaFlow(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{CaptchaEvery: 5})
 	solver := &TwoCaptchaSim{CostPerSolve: 299}
 	c := newTestClient(t, srv.BaseURL(), solver)
-	recs, err := crawlStrict(c, Config{Workers: 2})
+	recs, err := crawlStrict(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +300,12 @@ func TestCaptchaFlow(t *testing.T) {
 func TestCaptchaWithoutSolverFails(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{CaptchaEvery: 3})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	_, err := crawlStrict(c, Config{Workers: 1})
+	_, err := crawlStrict(c, 1)
 	if err == nil {
 		t.Fatal("crawl should fail when captchas cannot be solved")
 	}
 	c2 := newTestClient(t, srv.BaseURL(), FailingSolver{})
-	if _, err := crawlStrict(c2, Config{Workers: 1}); err == nil {
+	if _, err := crawlStrict(c2, 1); err == nil {
 		t.Fatal("crawl should fail when the solver errors")
 	}
 }
@@ -262,7 +313,7 @@ func TestCaptchaWithoutSolverFails(t *testing.T) {
 func TestRateLimitBackoff(t *testing.T) {
 	srv, _ := startSite(t, 30, listing.AntiScrape{RequestsPerSecond: 50, Burst: 5})
 	c := newTestClient(t, srv.BaseURL(), nil)
-	recs, err := crawlStrict(c, Config{Workers: 8})
+	recs, err := crawlStrict(c, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
