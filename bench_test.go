@@ -36,6 +36,7 @@ import (
 	"repro/internal/longitudinal"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
+	bottrace "repro/internal/obs/trace"
 	"repro/internal/permissions"
 	"repro/internal/platform"
 	"repro/internal/policygen"
@@ -415,34 +416,47 @@ func BenchmarkHoneypotCampaign(b *testing.B) {
 // ---- SCALE: sharded work-stealing executor smoke ----
 
 // BenchmarkShardedScaleSmoke runs the full pipeline over a 2,000-bot
-// population on the sharded work-stealing executor — the scaled-down
-// rehearsal of the paper-scale 20,915-bot run that produces
-// BENCH_SCALE.json — and reports end-to-end scheduler throughput.
+// population on the sharded work-stealing executor, once per per-bot
+// tracing level, and reports end-to-end scheduler throughput and the
+// spans the level recorded. The bots_per_sec gap between levels is what
+// tracing costs; perfbench's trace.overhead_share measures it with
+// repeats and a stated spread. `botscan -shards N` prints the same
+// scale block for any population.
 func BenchmarkShardedScaleSmoke(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := core.NewAuditor(core.Options{
-			Seed:    2022,
-			NumBots: 2000,
-			Honeypot: core.HoneypotOptions{
-				Sample: 50,
-				Settle: 200 * time.Millisecond,
-			},
-			Exec: core.ExecOptions{Shards: 4},
+	for _, lvl := range []bottrace.Level{bottrace.LevelOff, bottrace.LevelBots, bottrace.LevelFull} {
+		b.Run(lvl.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a, err := core.NewAuditor(core.Options{
+					Seed:    2022,
+					NumBots: 2000,
+					Honeypot: core.HoneypotOptions{
+						Sample: 50,
+						Settle: 200 * time.Millisecond,
+					},
+					Exec:  core.ExecOptions{Shards: 4},
+					Trace: core.TraceOptions{Level: lvl},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := a.RunAllContext(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Scale == nil || res.Scale.Items == 0 {
+					b.Fatal("sharded run reported no scale stats")
+				}
+				spans := res.BotTrace.Len()
+				if (spans == 0) != (lvl == bottrace.LevelOff) {
+					b.Fatalf("trace level %s recorded %d spans", lvl, spans)
+				}
+				b.ReportMetric(res.Scale.BotsPerSec, "bots_per_sec")
+				b.ReportMetric(float64(spans), "spans")
+				b.ReportMetric(float64(res.Scale.Steals), "steals")
+				b.ReportMetric(res.Scale.ShardImbalance, "shard_imbalance")
+				a.Close()
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := a.RunAllContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Scale == nil || res.Scale.Items == 0 {
-			b.Fatal("sharded run reported no scale stats")
-		}
-		b.ReportMetric(res.Scale.BotsPerSec, "bots_per_sec")
-		b.ReportMetric(float64(res.Scale.Steals), "steals")
-		b.ReportMetric(res.Scale.ShardImbalance, "shard_imbalance")
-		a.Close()
 	}
 }
 
@@ -1003,9 +1017,10 @@ func ledgerBenchWorkload(tb testing.TB, mode journal.LedgerMode, n int) time.Dur
 }
 
 // BenchmarkJournalLedgerWrite measures what tamper-evidence costs on
-// the journal's write path, one sub-benchmark per mode. BENCH_LEDGER.json
-// (written by `botscan bench-ledger`) records the checked-in numbers at
-// the BENCH_SCALE workload.
+// the journal's write path, one sub-benchmark per mode. A ledgered run
+// that does not verify fails the benchmark. Scale the workload with
+// -benchtime (e.g. -benchtime 62745x, about three events per bot at the
+// paper's 20,915 bots).
 func BenchmarkJournalLedgerWrite(b *testing.B) {
 	for _, mode := range []journal.LedgerMode{journal.LedgerOff, journal.LedgerChain, journal.LedgerMerkle} {
 		b.Run(string(mode), func(b *testing.B) {
@@ -1019,9 +1034,8 @@ func BenchmarkJournalLedgerWrite(b *testing.B) {
 // TestLedgerOverheadSmoke is the CI guard on the ledger's write-path
 // cost: merkle mode must stay within 2x of off mode on a small
 // workload. The bound is deliberately loose — CI machines are noisy and
-// the workload short; the honest overhead number (< 15% at the
-// BENCH_SCALE workload) lives in BENCH_LEDGER.json, regenerated with
-// `botscan bench-ledger`. What this guard catches is a regression that
+// the workload short; BenchmarkJournalLedgerWrite measures the honest
+// per-event overhead. What this guard catches is a regression that
 // makes tamper-evidence wildly expensive (per-event fsync, quadratic
 // batch handling), not single-digit drift.
 func TestLedgerOverheadSmoke(t *testing.T) {

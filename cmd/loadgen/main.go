@@ -2,9 +2,10 @@
 // users, a fleet of bot sessions over live gateway sockets — against a
 // self-hosted platform + gateway, and reports sustained fan-out
 // throughput plus the server's overload accounting (shed, dropped,
-// reaped). It is the traffic-plane counterpart of botscan's pipeline
-// benchmarks: where botscan measures the audit, loadgen measures the
-// platform surviving its users.
+// reaped). Where botscan audits the ecosystem, loadgen measures the
+// platform surviving its users. A run that delivers no events at all
+// exits non-zero: the traffic plane carried nothing, whatever the
+// overload counters say.
 //
 // Usage:
 //
@@ -31,6 +32,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		os.Exit(1) // run has logged the error
+	}
+}
+
+// run is the whole command. It returns instead of exiting on failure so
+// the deferred journal close flushes the journal's tail first.
+func run() error {
 	var (
 		guilds    = flag.Int("guilds", 8, "guild count")
 		users     = flag.Int("users-per-guild", 20, "chatting users per guild")
@@ -62,14 +71,14 @@ func main() {
 	)
 	flag.Parse()
 	logger := journal.NewLogger("loadgen", os.Stderr, slog.LevelInfo)
-	fatal := func(msg string, err error) {
+	fail := func(msg string, err error) error {
 		logger.Error(msg, "err", err)
-		os.Exit(1)
+		return err
 	}
 
 	policy, err := gateway.ParseSlowConsumerPolicy(*slowPolicy)
 	if err != nil {
-		fatal("slow-consumer", err)
+		return fail("slow-consumer", err)
 	}
 	cfg := loadgen.Config{
 		Guilds:        *guilds,
@@ -102,7 +111,7 @@ func main() {
 	if *journalPath != "" {
 		j, err := journal.Open(*journalPath, journal.Options{})
 		if err != nil {
-			fatal("open journal", err)
+			return fail("open journal", err)
 		}
 		defer j.Close()
 		cfg.Journal = j
@@ -110,17 +119,21 @@ func main() {
 
 	res, err := loadgen.Run(context.Background(), cfg)
 	if err != nil {
-		fatal("loadgen", err)
+		return fail("loadgen", err)
 	}
 	report.GatewayLoad(os.Stdout, res)
 	if *out != "" {
 		raw, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fatal("marshal result", err)
+			return fail("marshal result", err)
 		}
 		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-			fatal("write result", err)
+			return fail("write result", err)
 		}
 		logger.Info("result written", "path", *out)
 	}
+	if res.Delivered == 0 {
+		return fail("loadgen", fmt.Errorf("run delivered no events"))
+	}
+	return nil
 }

@@ -265,7 +265,7 @@ type Results struct {
 
 	// Scale is the executor's scheduler/throughput accounting, including
 	// each stage gate's busy time — the source of the report's stage
-	// table and of BENCH_SCALE.json.
+	// table and scale block.
 	Scale *ScaleStats
 
 	// Degraded reports whether any stage absorbed an error or

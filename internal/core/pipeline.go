@@ -33,7 +33,7 @@ import (
 )
 
 // ScaleStats is the executor's scheduler and throughput accounting —
-// the payload of BENCH_SCALE.json.
+// the payload of the report's scale block.
 type ScaleStats struct {
 	Bots    int   `json:"bots"`   // listed bots (collect items)
 	Sample  int   `json:"sample"` // honeypot sample size

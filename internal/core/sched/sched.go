@@ -8,8 +8,8 @@
 //
 // Per-stage concurrency is bounded separately by Gates — counting
 // semaphores that also account items, busy time, and peak in-flight
-// occupancy, which is where the per-stage bots/sec figures in
-// BENCH_SCALE.json come from.
+// occupancy, which is where the per-stage bots/sec figures in the
+// report's scale block come from.
 package sched
 
 import (
@@ -112,7 +112,7 @@ type Stats struct {
 
 // Hooks lets a run publish its scheduling decisions as it makes them:
 // live counters/gauges into an obs Registry (so /metrics shows steal
-// and imbalance figures during a run, not only in BENCH_SCALE.json
+// and imbalance figures during a run, not only in the report
 // afterwards) and steal/queue-depth events onto the tracer's shard
 // tracks. The zero value disables everything.
 type Hooks struct {

@@ -107,7 +107,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is one run's measurement, JSON-shaped for BENCH_GATEWAY.json.
+// Result is one run's measurement, JSON-shaped for `loadgen -out`.
 type Result struct {
 	Profile           string  `json:"fault_profile"`
 	Guilds            int     `json:"guilds"`

@@ -10,8 +10,8 @@
 // buffers, sharded by the scheduler worker that produced them. A worker
 // only ever touches its own shard's mutex, so the collection path is
 // contention-free at full paper scale and bot-level tracing costs low
-// single-digit percent (see BENCH_TRACE.json). Run-level stage spans
-// land on a control track.
+// single-digit percent (perfbench reports it as trace.overhead_share).
+// Run-level stage spans land on a control track.
 //
 // Ops are recorded only when they finish, which keeps the hot path to
 // one buffered append and makes the buffers naturally crash-truncated:
@@ -74,9 +74,9 @@ const (
 	KindInstant
 	// KindCounter is a sampled value (shard queue depth).
 	KindCounter
-	// KindRun is a run-level stage span on the control track — the
-	// same spans the obs tree shows, mirrored so the Perfetto view has
-	// the stage slices above the shard tracks.
+	// KindRun is a run-level stage span on the control track, one per
+	// stage bracket, so the Perfetto view has the stage slices above
+	// the shard tracks.
 	KindRun
 )
 

@@ -8,7 +8,7 @@ import (
 )
 
 // GatewayLoad renders one load-generation run as the human-facing
-// counterpart of the BENCH_GATEWAY.json record.
+// counterpart of the JSON record `loadgen -out` writes.
 func GatewayLoad(w io.Writer, r *loadgen.Result) {
 	fmt.Fprintf(w, "GATEWAY LOAD — profile=%s\n", r.Profile)
 	fmt.Fprintf(w, "  topology    %d guilds × %d users, %d/%d sessions connected (%d alive at end, %d stalled)\n",
